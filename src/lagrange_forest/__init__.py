@@ -40,10 +40,8 @@ from .errors import (
 )
 from .harness import SuiteConfig, random_kernel_family, random_series, run_suite
 from .inversion import (
-    DeterminantBundle,
     InversionProblem,
     TreeSolution,
-    determinant_bundle,
     finite_matrix_determinant,
     forward_measure,
     fredholm_determinant,

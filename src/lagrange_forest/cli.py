@@ -58,8 +58,19 @@ def _find_line(text: str, token: str) -> int | None:
     return None
 
 
+def _is_int(raw: object) -> bool:
+    # JSON true/false load as bool, a subclass of int
+    return isinstance(raw, int) and not isinstance(raw, bool)
+
+
+def _require_list(raw: object, where: str) -> list:
+    if not isinstance(raw, list):
+        raise DocumentParseError(f"{where} must be a list")
+    return raw
+
+
 def _parse_rational(raw: object, text: str, path: str) -> Fraction:
-    if isinstance(raw, int):
+    if _is_int(raw):
         return Fraction(raw)
     if not isinstance(raw, str):
         raise DocumentParseError(
@@ -77,12 +88,15 @@ def load_problem_document(path: str) -> ProblemDocument:
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DocumentParseError(f"{path}: {exc}") from None
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentParseError(f"{path}:{exc.lineno}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:
+        # integer literals over the digit limit, nesting over the recursion limit
+        raise DocumentParseError(f"{path}: {exc}") from None
 
     if not isinstance(raw, dict):
         raise DocumentParseError(f"{path}: document must be a JSON object")
@@ -102,28 +116,28 @@ def load_problem_document(path: str) -> ProblemDocument:
     declared = set(colors)
 
     order = raw["order"]
-    if not isinstance(order, int) or order < 1:
+    if not _is_int(order) or order < 1:
         raise DocumentInvariantError(f"{path}: order must be an integer >= 1")
 
     def check_labels(labels: Iterable[str], where: str) -> None:
         for label in labels:
-            if label not in declared:
+            if not isinstance(label, str) or label not in declared:
                 raise DocumentInvariantError(f"{path}: {where}: undeclared label {label!r}")
 
     kernel_entries = []
     seen_kernel = set()
-    if not isinstance(raw["kernels"], list):
-        raise DocumentParseError(f"{path}: kernels must be a list")
-    for group_index, group in enumerate(raw["kernels"]):
+    for group_index, group in enumerate(_require_list(raw["kernels"], f"{path}: kernels")):
         where = f"kernels[{group_index}]"
         if not isinstance(group, dict) or "n" not in group or "entries" not in group:
             raise DocumentParseError(f"{path}: {where}: needs fields 'n' and 'entries'")
         n = group["n"]
-        if not isinstance(n, int) or n < 1:
+        if not _is_int(n) or n < 1:
             raise DocumentInvariantError(
                 f"{path}: {where}: kernel size must be an integer >= 1"
             )
-        for entry_index, entry in enumerate(group["entries"]):
+        for entry_index, entry in enumerate(
+            _require_list(group["entries"], f"{path}: {where}.entries")
+        ):
             spot = f"{where}.entries[{entry_index}]"
             if not isinstance(entry, dict) or not {"q", "x", "value"} <= set(entry):
                 raise DocumentParseError(
@@ -146,16 +160,18 @@ def load_problem_document(path: str) -> ProblemDocument:
     if "phi" in raw and raw["phi"] is not None:
         phi_entries = []
         seen_phi = set()
-        for group_index, group in enumerate(raw["phi"]):
+        for group_index, group in enumerate(_require_list(raw["phi"], f"{path}: phi")):
             where = f"phi[{group_index}]"
             if not isinstance(group, dict) or "n" not in group or "entries" not in group:
                 raise DocumentParseError(f"{path}: {where}: needs fields 'n' and 'entries'")
             n = group["n"]
-            if not isinstance(n, int) or n < 0:
+            if not _is_int(n) or n < 0:
                 raise DocumentInvariantError(
                     f"{path}: {where}: series size must be an integer >= 0"
                 )
-            for entry_index, entry in enumerate(group["entries"]):
+            for entry_index, entry in enumerate(
+                _require_list(group["entries"], f"{path}: {where}.entries")
+            ):
                 spot = f"{where}.entries[{entry_index}]"
                 if not isinstance(entry, dict) or not {"x", "value"} <= set(entry):
                     raise DocumentParseError(f"{path}: {spot}: needs fields 'x' and 'value'")
@@ -346,7 +362,14 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("suite", choices=SUITE_NAMES)
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--d", type=int, default=2, help="number of colors")
-    verify.add_argument("--N", type=int, default=4, dest="order", help="truncation order")
+    verify.add_argument(
+        "--N",
+        type=int,
+        default=4,
+        dest="order",
+        help="truncation order; lagrange-good, magic and species-oracles"
+        " check pinned tuples only up to size 4",
+    )
     verify.add_argument("--trials", type=int, default=3)
 
     enum = sub.add_parser("enumerate", help="count or list combinatorial structures")

@@ -4,8 +4,10 @@ Two independent routes to the inverse live here. The tree route solves the
 fixed-point equation whose solution generates weighted rooted trees, and
 lifts it to the inverse measure series. The determinant route expresses
 coefficients of any composed observable through a truncated Fredholm
-determinant; a finite-matrix reduction of that determinant is provided as
-well. The cancellation between the two routes can be checked exactly.
+determinant. One routine computes that determinant, and its reduction to a
+finite matrix over a color subset, by the trace formula
+det(Id - L) = exp(-sum_m tr(L^m) / m). The cancellation between the two
+routes can be checked exactly.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, permutations, product
+from itertools import combinations
 from math import factorial
 from typing import Iterable, Sequence
 
@@ -23,7 +25,6 @@ from .series import (
     ColorSet,
     FamilySeries,
     KernelFamily,
-    Key,
     MeasureSeries,
     TruncatedSeries,
     _compose_table,
@@ -69,15 +70,6 @@ class TreeSolution:
 
     tree_factors: FamilySeries
     inverse: MeasureSeries
-
-
-@dataclass(frozen=True)
-class DeterminantBundle:
-    """Derivative kernel, Fredholm series, and optional pinned reductions."""
-
-    derivative_kernel: dict[tuple[str, str], TruncatedSeries]
-    fredholm: TruncatedSeries
-    pinned: dict[tuple[str, ...], TruncatedSeries]
 
 
 def _truncate(k: TruncatedSeries, new_order: int) -> TruncatedSeries:
@@ -129,84 +121,60 @@ def solve_tree_fixed_point(problem: InversionProblem) -> TreeSolution:
     return solution
 
 
-def _parity(sigma: Sequence[int]) -> int:
-    inversions = sum(
-        1 for i in range(len(sigma)) for j in range(i + 1, len(sigma)) if sigma[i] > sigma[j]
-    )
-    return -1 if inversions % 2 else 1
+def _determinant(problem: InversionProblem, labels: Sequence[str]) -> TruncatedSeries:
+    """det(Id - L) for the matrix L indexed by ``labels``.
 
-
-def _det_minor(kernels: KernelFamily, pinned: Key, rest: Key) -> Fraction:
-    """Determinant of the derivative-kernel matrix at pinned colors.
-
-    Expands the r x r determinant by permutations; each factor is a
-    derivative-kernel series whose coefficients are kernel values with one
-    extra pinned argument, and the remaining colors are distributed over the
-    factors in all possible ways.
+    Entry (q, q') of L is the atom series at q times the kernel at q
+    differentiated at q'. Cycles of L are crowns, and
+    det(Id - L) = exp(-sum_m tr(L^m) / m) is their signed sum. Every entry
+    of L has a vanishing constant term, so L^m has no coefficient below size
+    m and the sum stops at the order.
     """
-    r = len(pinned)
-    total = Fraction(0)
-    for sigma in permutations(range(r)):
-        sign = _parity(sigma)
-        for assignment in product(range(r), repeat=len(rest)):
-            shares: list[list[str]] = [[] for _ in range(r)]
-            for color, owner in zip(rest, assignment):
-                shares[owner].append(color)
-            term = Fraction(sign)
-            for i in range(r):
-                value = kernels.value(pinned[sigma[i]], (pinned[i], *shares[i]))
-                if not value:
-                    term = Fraction(0)
-                    break
-                term *= value
-            total += term
-    return total
+    colors, order = problem.colors, problem.order
+    matrix = [
+        [
+            multiply(
+                indicator_series(colors, order, (q,)),
+                TruncatedSeries(
+                    colors,
+                    order,
+                    variational_derivative(problem.kernels.series_at(q), (qp,)).table,
+                ),
+            )
+            for qp in labels
+        ]
+        for q in labels
+    ]
+    size = range(len(labels))
+    power = matrix
+    log_det = TruncatedSeries(colors, order, {})
+    for m in range(1, order + 1):
+        if m > 1:
+            power = [
+                [
+                    reduce(add, (multiply(power[i][k], matrix[k][j]) for k in size))
+                    for j in size
+                ]
+                for i in size
+            ]
+        trace = reduce(add, (power[i][i] for i in size))
+        log_det = add(log_det, scale(trace, Fraction(-1, m)))
+    return exponential(log_det)
 
 
 def fredholm_determinant(problem: InversionProblem) -> TruncatedSeries:
     """Truncated Fredholm determinant of the derivative-kernel operator.
 
-    The coefficient at a key sums, over non-empty position subsets P with
-    sign (-1)**len(P), the determinant of the derivative-kernel matrix
-    pinned at the P-colors and fed the remaining colors. The constant term
-    is one; subsets larger than the order cannot occur.
+    Over a finite color set this is det(Id - L) for the derivative-kernel
+    matrix L indexed by all colors. Its coefficient at a key is the signed
+    sum over assemblies of crowns on the key's positions, each assembly
+    signed by its number of crowns. The constant term is one.
     """
     cached = problem._memo.get("fredholm")
-    if cached is not None:
-        return cached
-    colors, order = problem.colors, problem.order
-    kernels = problem.kernels
-    table: dict[Key, Fraction] = {(): Fraction(1)}
-    for key in all_keys(colors, order):
-        n = len(key)
-        if n == 0:
-            continue
-        positions = range(n)
-        total = Fraction(0)
-        for r in range(1, n + 1):
-            sign = -1 if r % 2 else 1
-            for chosen in combinations(positions, r):
-                pinned = tuple(key[p] for p in chosen)
-                rest = tuple(key[p] for p in positions if p not in chosen)
-                total += sign * _det_minor(kernels, pinned, rest)
-        if total:
-            table[key] = total
-    series = TruncatedSeries(colors, order, table)
-    problem._memo["fredholm"] = series
-    return series
-
-
-def _derivative_kernel_series(
-    problem: InversionProblem, pin: str, q: str, order: int
-) -> TruncatedSeries:
-    # coefficients of the kernel at q with one argument pinned, kept at full order
-    table: dict[Key, Fraction] = {}
-    for key, value in problem.kernels.tables.get(q, {}).items():
-        if pin in key:
-            remainder = list(key)
-            remainder.remove(pin)
-            table[tuple(remainder)] = value
-    return TruncatedSeries(problem.colors, order, table)
+    if cached is None:
+        cached = _determinant(problem, problem.colors.names)
+        problem._memo["fredholm"] = cached
+    return cached
 
 
 def finite_matrix_determinant(
@@ -215,46 +183,15 @@ def finite_matrix_determinant(
     """Determinant of the finite matrix indexed by a set of colors Q.
 
     Entry (q, q') is the Kronecker delta minus the atom series at q times
-    the derivative kernel pinned at q. Coefficients at tuples whose colors
-    lie inside Q agree with the Fredholm determinant, and enlarging Q leaves
-    them unchanged.
+    the kernel at q differentiated at q'. Coefficients at tuples whose
+    colors lie inside Q agree with the Fredholm determinant, and enlarging Q
+    leaves them unchanged; over all colors the two are the same series.
     """
     labels = tuple(dict.fromkeys(subset))
     if not labels:
         raise EmptySubset("the pinned color set must be non-empty")
     problem.colors.require(labels)
-    colors, order = problem.colors, problem.order
-    entries: dict[tuple[str, str], TruncatedSeries] = {}
-    for q in labels:
-        atom = indicator_series(colors, order, (q,))
-        for qp in labels:
-            term = scale(multiply(atom, _derivative_kernel_series(problem, qp, q, order)), -1)
-            if q == qp:
-                term = add(term, TruncatedSeries(colors, order, {(): Fraction(1)}))
-            entries[(q, qp)] = term
-    total = TruncatedSeries(colors, order, {})
-    for sigma in permutations(range(len(labels))):
-        prod_series = entries[(labels[0], labels[sigma[0]])]
-        for i in range(1, len(labels)):
-            prod_series = multiply(prod_series, entries[(labels[i], labels[sigma[i]])])
-        total = add(total, scale(prod_series, _parity(sigma)))
-    return total
-
-
-def determinant_bundle(
-    problem: InversionProblem, subsets: Iterable[Iterable[str]] = ()
-) -> DeterminantBundle:
-    """Bundle the derivative kernel, the Fredholm series, and pinned reductions."""
-    derivative_kernel = {
-        (qp, q): variational_derivative(problem.kernels.series_at(q), (qp,))
-        for qp in problem.colors.names
-        for q in problem.colors.names
-    }
-    pinned = {
-        tuple(sorted(dict.fromkeys(sub))): finite_matrix_determinant(problem, sub)
-        for sub in subsets
-    }
-    return DeterminantBundle(derivative_kernel, fredholm_determinant(problem), pinned)
+    return _determinant(problem, labels)
 
 
 def _pinned_exponential(

@@ -1,7 +1,8 @@
 """Independent oracles and small builders shared by the test modules.
 
 Everything here is deliberately written from scratch against the defining
-formulas (subset sums, Bell recurrence, raw product enumeration) so the
+formulas (subset sums, Bell recurrence, raw product enumeration, Leibniz
+expansions) so the
 package under test never checks itself against its own code paths.
 """
 
@@ -9,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 from lagrange_forest import ColorSet, TruncatedSeries
 
@@ -81,4 +82,46 @@ def measure_compose_oracle(gamma, family, q: str, key: tuple) -> Fraction:
                     )
                     term *= family.members[key[j]].coefficient(share)
                 total += term
+    return total
+
+
+def _permutation_sign(sigma: tuple) -> int:
+    """(-1) to the number of positions minus the number of cycles."""
+    seen = set()
+    cycles = 0
+    for start in range(len(sigma)):
+        if start in seen:
+            continue
+        cycles += 1
+        at = start
+        while at not in seen:
+            seen.add(at)
+            at = sigma[at]
+    return -1 if (len(sigma) - cycles) % 2 else 1
+
+
+def fredholm_oracle(kernels, key: tuple) -> Fraction:
+    """Fredholm determinant coefficient by the position-subset expansion.
+
+    Sums, over non-empty position subsets P with sign (-1)**len(P), the
+    Leibniz expansion of the derivative-kernel matrix pinned at the
+    P-colors: entry (i, j) is the kernel pinned at the j-th P-color,
+    evaluated at the i-th P-color plus the share of the remaining positions
+    handed to row i, summed over every way of handing them out.
+    """
+    n = len(key)
+    total = Fraction(0)
+    for r in range(1, n + 1):
+        for chosen in combinations(range(n), r):
+            pinned = [key[p] for p in chosen]
+            rest = [key[p] for p in range(n) if p not in chosen]
+            minor = Fraction(0)
+            for sigma in permutations(range(r)):
+                for assignment in product(range(r), repeat=len(rest)):
+                    term = Fraction(_permutation_sign(sigma))
+                    for row in range(r):
+                        share = [c for c, owner in zip(rest, assignment) if owner == row]
+                        term *= kernels.value(pinned[sigma[row]], [pinned[row], *share])
+                    minor += term
+            total += (-1) ** r * minor
     return total

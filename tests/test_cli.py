@@ -119,6 +119,41 @@ def test_invert_invariant_violations_exit_3(tmp_path):
     assert main(["invert", write_doc(tmp_path, constant_kernel, "c.json")]) == 3
 
 
+def _mutated(path, value):
+    doc = cayley_doc(order=2)
+    *parents, last = path
+    target = doc
+    for step in parents:
+        target = target[step]
+    target[last] = value
+    return dump_document(doc).encode()
+
+
+@pytest.mark.parametrize(
+    "content, code",
+    [
+        pytest.param(_mutated(["order"], True), 3, id="order-bool"),
+        pytest.param(_mutated(["kernels", 0, "n"], True), 3, id="n-bool"),
+        pytest.param(_mutated(["kernels", 0, "entries", 0, "value"], True), 2, id="value-bool"),
+        pytest.param(_mutated(["kernels", 0, "entries"], 5), 2, id="entries-not-list"),
+        pytest.param(_mutated(["phi"], 5), 2, id="phi-not-list"),
+        pytest.param(_mutated(["phi"], [{"n": 1, "entries": 7}]), 2, id="phi-entries-not-list"),
+        pytest.param(_mutated(["phi"], [{"n": True, "entries": []}]), 3, id="phi-n-bool"),
+        pytest.param(_mutated(["kernels", 0, "entries", 0, "q"], ["a"]), 3, id="q-list"),
+        pytest.param(_mutated(["kernels", 0, "entries", 0, "x"], [["a"]]), 3, id="x-nested-list"),
+        pytest.param(_mutated(["B"], [["a"]]), 3, id="B-nested-list"),
+        pytest.param(b'{"colors": ["\xff"], "order": 1, "kernels": []}', 2, id="not-utf8"),
+        pytest.param(b'{"order": ' + b"1" * 5000 + b"}", 2, id="integer-over-digit-limit"),
+        pytest.param(b"[" * 100_000 + b"]" * 100_000, 2, id="nesting-over-recursion-limit"),
+    ],
+)
+def test_invert_malformed_document_exit_code(tmp_path, capsys, content, code):
+    config = tmp_path / "problem.json"
+    config.write_bytes(content)
+    assert main(["invert", str(config)]) == code
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_invert_order_override_lowers_only(tmp_path):
     config = write_doc(tmp_path, cayley_doc(order=4))
     out = tmp_path / "result.json"

@@ -14,7 +14,6 @@ from lagrange_forest import (
     all_keys,
     compose_family,
     constant_series,
-    determinant_bundle,
     exponential,
     finite_matrix_determinant,
     forward_measure,
@@ -33,8 +32,11 @@ from lagrange_forest import (
     solve_tree_fixed_point,
     tree_coefficient,
     univariate_lagrange_check,
+    variational_derivative,
 )
 from lagrange_forest.inversion import univariate_problem
+
+from helpers import fredholm_oracle
 
 A = ColorSet(("a",))
 AB = ColorSet(("a", "b"))
@@ -158,6 +160,15 @@ def test_fredholm_matches_crown_oracle():
             )
 
 
+@pytest.mark.parametrize("colors, order", [(1, 6), (2, 5), (3, 4)])
+def test_fredholm_matches_subset_expansion_oracle(colors, order):
+    problem = random_problem(seed=2, colors=colors, order=order)
+    det = fredholm_determinant(problem)
+    for key in all_keys(problem.colors, order):
+        if key:
+            assert det.coefficient(key) == fredholm_oracle(problem.kernels, key)
+
+
 def test_finite_matrix_trivial_cases():
     assert finite_matrix_determinant(zero_problem(AB, 3), ("a",)) == constant_series(
         AB, 3, 1
@@ -177,7 +188,7 @@ def test_finite_matrix_agrees_with_fredholm_and_is_stable_under_enlargement():
     for n in range(1, 4):
         for key in combinations_with_replacement(("a", "c"), n):
             assert small.coefficient(key) == fred.coefficient(key)
-            assert large.coefficient(key) == fred.coefficient(key)
+            assert large.coefficient(key) == fredholm_oracle(problem.kernels, key)
 
 
 def test_finite_matrix_empty_subset():
@@ -185,17 +196,19 @@ def test_finite_matrix_empty_subset():
         finite_matrix_determinant(cayley_problem(2), ())
 
 
-def test_determinant_bundle():
+def test_pinned_determinants_and_derivative_kernel():
     problem = random_problem(seed=3, colors=2, order=3)
-    bundle = determinant_bundle(problem, subsets=[("a",), ("a", "b")])
-    assert bundle.fredholm == fredholm_determinant(problem)
-    assert set(bundle.pinned) == {("a",), ("a", "b")}
-    assert set(bundle.derivative_kernel) == {(p, q) for p in AB for q in AB}
+    fred = fredholm_determinant(problem)
+    assert finite_matrix_determinant(problem, ("b", "a", "b")) == fred
     # derivative kernel constant term is the size-1 kernel value
-    assert bundle.derivative_kernel[("a", "b")].f0 == problem.kernels.value("b", ("a",))
+    for p in AB:
+        for q in AB:
+            derivative = variational_derivative(problem.kernels.series_at(q), (p,))
+            assert derivative.f0 == problem.kernels.value(q, (p,))
+    pinned = finite_matrix_determinant(problem, ("a",))
     for key in all_keys(AB, 3):
         if key and set(key) <= {"a"}:
-            assert bundle.pinned[("a",)].coefficient(key) == bundle.fredholm.coefficient(key)
+            assert pinned.coefficient(key) == fred.coefficient(key)
 
 
 # ---------------------------------------------------------------------------
