@@ -74,7 +74,6 @@ from .series import (
     make_kernel_family,
     make_series,
     multiply,
-    multiply_many,
     radon_lift,
     rename_colors,
     restrict,

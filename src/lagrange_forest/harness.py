@@ -13,7 +13,6 @@ import random
 import string
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import reduce
 from itertools import combinations, combinations_with_replacement
 from typing import Callable, Iterable, Sequence
 
@@ -21,6 +20,7 @@ from . import combinat
 from .errors import UnknownSuite
 from .inversion import (
     InversionProblem,
+    _pinned_exponential,
     finite_matrix_determinant,
     fredholm_determinant,
     lagrange_good_coefficient,
@@ -34,10 +34,8 @@ from .series import (
     ColorSet,
     KernelFamily,
     TruncatedSeries,
-    add,
     all_keys,
     compose_family,
-    exponential,
     make_kernel_family,
     make_series,
 )
@@ -156,11 +154,6 @@ def _suite_round_trip(cfg: SuiteConfig, trial: int) -> list[IdentityReport]:
     return [_with_trial(round_trip_check(problem), trial)]
 
 
-def _exp_series(problem: InversionProblem, q_tuple: Sequence[str]) -> TruncatedSeries:
-    summed = reduce(add, (problem.kernels.series_at(q) for q in q_tuple))
-    return exponential(summed)
-
-
 def _suite_species(cfg: SuiteConfig, trial: int) -> list[IdentityReport]:
     kernels = random_kernel_family(cfg)
     problem = InversionProblem(kernels)
@@ -175,7 +168,7 @@ def _suite_species(cfg: SuiteConfig, trial: int) -> list[IdentityReport]:
     for n in range(1, cap + 1):
         q_tuple = tuple(rng.choice(names) for _ in range(n))
         positions = tuple(range(1, n + 1))
-        exp_series = _exp_series(problem, q_tuple)
+        exp_series = _pinned_exponential(problem, q_tuple, n)
 
         for size in range(n + 1):
             for picked in combinations(positions, size):

@@ -27,6 +27,7 @@ from .series import (
     KernelFamily,
     MeasureSeries,
     TruncatedSeries,
+    _Monomials,
     _compose_table,
     add,
     all_keys,
@@ -107,12 +108,13 @@ def solve_tree_fixed_point(problem: InversionProblem) -> TreeSolution:
     colors, order = problem.colors, problem.order
     current = FamilySeries.constant(colors, order, 1)
     for step in range(1, order + 1):
+        monomials = _Monomials(current, step)  # shared by every color
         members = {}
         for q in colors.names:
             exponent = TruncatedSeries(
                 colors,
                 order,
-                _compose_table(problem.kernels.series_at(q), current, step),
+                _compose_table(problem.kernels.series_at(q), monomials),
             )
             members[q] = exponential(exponent)
         current = FamilySeries(colors, order, members)
@@ -197,6 +199,7 @@ def finite_matrix_determinant(
 def _pinned_exponential(
     problem: InversionProblem, q_tuple: Sequence[str], order: int
 ) -> TruncatedSeries:
+    """exp of the sum of the kernels pinned at the tuple's colors, to ``order``."""
     summed = reduce(
         add, (_truncate(problem.kernels.series_at(q), order) for q in q_tuple)
     )
@@ -210,7 +213,9 @@ def lagrange_good_coefficient(
 
     Returns the coefficient at ``q_tuple`` of phi times the exponential of
     the kernels pinned at the tuple's colors times the Fredholm determinant.
-    The exponential factor depends on the tuple and is rebuilt per query.
+    The exponential factor depends on the tuple and is rebuilt per query,
+    truncated at the tuple's size; the first-block recurrence of
+    :func:`exponential` keeps that rebuild polynomial in the size.
     """
     n = len(q_tuple)
     if n < 1:

@@ -11,6 +11,13 @@ Function-valued series are families with one member series per color;
 measure-valued series store, per color, the coefficient table of the atom
 at that color, and usually also carry the density family they were lifted
 from.
+
+Every kernel is polynomial in the number of keys: a product sums over
+pairs of keys; the exponential splits off the block holding a key's first
+position, E[key] = sum_S weight(S) K[S] E[key - S]; univariate composition
+sums outer[m] K^m / m!; and composition with a measure sums
+g_J prod_q W_q^(J_q) / J_q! over g's keys J, W being the atoms of the
+substituted measure. No kernel enumerates set partitions.
 """
 
 from __future__ import annotations
@@ -18,15 +25,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
-from math import comb
+from itertools import combinations_with_replacement, groupby, product
+from math import comb, factorial
 from typing import Iterable, Iterator, Sequence, Union
 
-from .combinat import set_partitions_of
 from .errors import (
     ColorSetMismatch,
     DuplicateKey,
-    EmptyInput,
     KeyTooLarge,
     NonzeroConstantTerm,
     OrderMismatch,
@@ -197,6 +202,20 @@ def _merge_multiplicity(key_a: Key, key_b: Key) -> int:
     return mult
 
 
+def _product(
+    a: dict[Key, Fraction], b: dict[Key, Fraction], max_size: int
+) -> dict[Key, Fraction]:
+    out: dict[Key, Fraction] = {}
+    for key_a, va in a.items():
+        for key_b, vb in b.items():
+            if len(key_a) + len(key_b) > max_size:
+                continue
+            merged = canonical_key(key_a + key_b)
+            term = va * vb * _merge_multiplicity(key_a, key_b)
+            out[merged] = out.get(merged, Fraction(0)) + term
+    return out
+
+
 def multiply(k: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     """Product series: each coefficient is a sum over splits of its key.
 
@@ -205,48 +224,26 @@ def multiply(k: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     accumulating support pairs with the matching binomial multiplicities.
     """
     _check_pair(k, g)
-    out: dict[Key, Fraction] = {}
-    for key_a, va in k.table.items():
-        for key_b, vb in g.table.items():
-            if len(key_a) + len(key_b) > k.order:
-                continue
-            merged = canonical_key(key_a + key_b)
-            term = va * vb * _merge_multiplicity(key_a, key_b)
-            out[merged] = out.get(merged, Fraction(0)) + term
-    return TruncatedSeries(k.colors, k.order, out)
+    return TruncatedSeries(k.colors, k.order, _product(k.table, g.table, k.order))
 
 
-def multiply_many(factors: Sequence[TruncatedSeries]) -> TruncatedSeries:
-    """Product of several series, computed directly via ordered partitions.
-
-    For every coefficient key, positions are distributed over the factors in
-    all possible ways (empty shares allowed). This is deliberately a second,
-    independent route to the iterated binary product and serves as its
-    oracle in the test suite.
-    """
-    if not factors:
-        raise EmptyInput("multiply_many needs at least one factor")
-    first = factors[0]
-    for other in factors[1:]:
-        _check_pair(first, other)
-    r = len(factors)
-    out: dict[Key, Fraction] = {}
-    for key in all_keys(first.colors, first.order):
-        n = len(key)
-        total = Fraction(0)
-        for assignment in product(range(r), repeat=n):
-            term = Fraction(1)
-            for idx, factor in enumerate(factors):
-                part = tuple(key[p] for p in range(n) if assignment[p] == idx)
-                value = factor.table.get(part)
-                if value is None:
-                    term = Fraction(0)
-                    break
-                term *= value
-            total += term
-        if total:
-            out[key] = total
-    return TruncatedSeries(first.colors, first.order, out)
+def _first_block_splits(key: Key) -> Iterator[tuple[Key, Key, int]]:
+    # Every sub-multiset S of key holding key[0], with its complement and the
+    # number of position subsets realizing S that contain the first position:
+    # C(n_c0 - 1, s_c0 - 1) * prod_{c != c0} C(n_c, s_c).
+    runs = [(color, len(tuple(run))) for color, run in groupby(key)]
+    first = runs[0][1]
+    ranges = [range(1, first + 1)] + [range(m + 1) for _, m in runs[1:]]
+    for sizes in product(*ranges):
+        part: Key = ()
+        rest: Key = ()
+        weight = 1
+        for (color, m), s in zip(runs, sizes):
+            part += (color,) * s
+            rest += (color,) * (m - s)
+            weight *= comb(m, s)
+        # C(n - 1, s - 1) = C(n, s) * s / n for the first color
+        yield part, rest, weight * sizes[0] // first
 
 
 def exponential(k: TruncatedSeries) -> TruncatedSeries:
@@ -254,6 +251,10 @@ def exponential(k: TruncatedSeries) -> TruncatedSeries:
 
     The coefficient at a tuple is the sum over set partitions of its
     positions of the product of K over the blocks; the constant term is one.
+    It is computed by splitting off the block S that holds the key's first
+    position: E[key] = sum_S C(n_c0 - 1, s_c0 - 1) prod_{c != c0} C(n_c, s_c)
+    K[S] E[key - S], over the sub-multisets S of the key containing its first
+    color c0, where n and s count the colors of the key and of S.
     """
     if k.f0:
         raise NonzeroConstantTerm("exponential needs a vanishing constant term")
@@ -262,15 +263,10 @@ def exponential(k: TruncatedSeries) -> TruncatedSeries:
     for n in range(1, k.order + 1):
         for key in combinations_with_replacement(support, n):
             total = Fraction(0)
-            for partition in set_partitions_of(range(n)):
-                term = Fraction(1)
-                for block in partition:
-                    value = k.table.get(tuple(key[p] for p in block))
-                    if value is None:
-                        term = Fraction(0)
-                        break
-                    term *= value
-                total += term
+            for part, rest, weight in _first_block_splits(key):
+                value = k.table.get(part)
+                if value is not None and rest in out:
+                    total += weight * value * out[rest]
             if total:
                 out[key] = total
     return TruncatedSeries(k.colors, k.order, out)
@@ -285,38 +281,22 @@ def compose_univariate(
     convention (the m-th entry is m! times the monomial coefficient). The
     result's coefficient at a tuple sums, over set partitions of the tuple's
     positions, the outer coefficient at the block count times the product of
-    K over the blocks. With all outer coefficients equal to one this reduces
-    to :func:`exponential`.
+    K over the blocks. It is computed as sum_m outer[m] K^m / m!, with the
+    powers built by :func:`multiply`; K^m has no coefficient below size m,
+    so the sum stops at the order. With all outer coefficients equal to one
+    this reduces to :func:`exponential`.
     """
     if k.f0:
         raise NonzeroConstantTerm("composition needs a vanishing constant term")
-    coeffs = [Fraction(x) for x in outer]
-
-    def outer_at(m: int) -> Fraction:
-        return coeffs[m] if m < len(coeffs) else Fraction(0)
-
-    out: dict[Key, Fraction] = {}
-    if outer_at(0):
-        out[()] = outer_at(0)
-    support = k.support_colors()
-    for n in range(1, k.order + 1):
-        for key in combinations_with_replacement(support, n):
-            total = Fraction(0)
-            for partition in set_partitions_of(range(n)):
-                factor = outer_at(len(partition))
-                if not factor:
-                    continue
-                term = factor
-                for block in partition:
-                    value = k.table.get(tuple(key[p] for p in block))
-                    if value is None:
-                        term = Fraction(0)
-                        break
-                    term *= value
-                total += term
-            if total:
-                out[key] = total
-    return TruncatedSeries(k.colors, k.order, out)
+    coeffs = [Fraction(x) for x in outer[: k.order + 1]]
+    total = zero_series(k.colors, k.order)
+    power = constant_series(k.colors, k.order, 1)
+    for m, coeff in enumerate(coeffs):
+        if m:
+            power = multiply(power, k)
+        if coeff:
+            total = add(total, scale(power, coeff / factorial(m)))
+    return total
 
 
 def variational_derivative(k: TruncatedSeries, pins: Sequence[str]) -> TruncatedSeries:
@@ -446,16 +426,10 @@ def integrate(family: FamilySeries) -> TruncatedSeries:
     """Integrate a function-valued series against the base measure.
 
     The n-th coefficient sums the family member pinned at each position of
-    the key over the remaining positions; the constant term is zero.
+    the key over the remaining positions; the constant term is zero. This
+    is the total mass of :func:`radon_lift`.
     """
-    out: dict[Key, Fraction] = {}
-    for q in family.colors.sorted_names:
-        for key, value in family.members[q].table.items():
-            if len(key) + 1 > family.order:
-                continue
-            merged = canonical_key(key + (q,))
-            out[merged] = out.get(merged, Fraction(0)) + value * (key.count(q) + 1)
-    return TruncatedSeries(family.colors, family.order, out)
+    return radon_lift(family).evaluate()
 
 
 def radon_lift(family: FamilySeries) -> MeasureSeries:
@@ -484,40 +458,44 @@ def _check_family(g: TruncatedSeries, family: FamilySeries) -> None:
         raise OrderMismatch("series and family with different orders")
 
 
-def _compose_table(
-    g: TruncatedSeries, family: FamilySeries, max_size: int
-) -> dict[Key, Fraction]:
+class _Monomials(dict):
+    """Products prod_q W_q^(J_q) / J_q! by key J, for W the radon lift of a family.
+
+    Each entry is built on first lookup, by one product along the key's
+    prefixes, and truncated at ``max_size``. A table can be shared by every
+    composition with the same family and truncation.
+    """
+
+    def __init__(self, family: FamilySeries, max_size: int) -> None:
+        super().__init__({(): {(): Fraction(1)}})
+        self.max_size = max_size
+        self.atoms = {
+            q: {key: v for key, v in atom.table.items() if len(key) <= max_size}
+            for q, atom in radon_lift(family).members.items()
+        }
+
+    def __missing__(self, key: Key) -> dict[Key, Fraction]:
+        color = key[-1]
+        share = Fraction(1, key.count(color))
+        table = {
+            merged: value * share
+            for merged, value in _product(
+                self[key[:-1]], self.atoms[color], self.max_size
+            ).items()
+        }
+        self[key] = table
+        return table
+
+
+def _compose_table(g: TruncatedSeries, monomials: _Monomials) -> dict[Key, Fraction]:
+    # sum_J g_J prod_q W_q^(J_q) / J_q!, up to size monomials.max_size
     out: dict[Key, Fraction] = {}
     if g.f0:
         out[()] = g.f0
-    names = g.colors.sorted_names
-    for n in range(1, max_size + 1):
-        for key in combinations_with_replacement(names, n):
-            positions = range(n)
-            total = Fraction(0)
-            for jsize in range(1, n + 1):
-                for chosen in combinations(positions, jsize):
-                    gv = g.table.get(tuple(key[p] for p in chosen))
-                    if gv is None:
-                        continue
-                    rest = [p for p in positions if p not in chosen]
-                    slot_tables = [family.members[key[p]].table for p in chosen]
-                    for assignment in product(range(jsize), repeat=len(rest)):
-                        shares: list[list[int]] = [[] for _ in range(jsize)]
-                        for pos, owner in zip(rest, assignment):
-                            shares[owner].append(pos)
-                        term = gv
-                        for slot in range(jsize):
-                            fv = slot_tables[slot].get(
-                                tuple(key[p] for p in shares[slot])
-                            )
-                            if fv is None:
-                                term = Fraction(0)
-                                break
-                            term *= fv
-                        total += term
-            if total:
-                out[key] = total
+    for key, gv in g.table.items():
+        if key and len(key) <= monomials.max_size:
+            for merged, value in monomials[key].items():
+                out[merged] = out.get(merged, Fraction(0)) + gv * value
     return out
 
 
@@ -528,10 +506,13 @@ def compose_family(g: TruncatedSeries, family: FamilySeries) -> TruncatedSeries:
     distributions of the remaining positions into shares, one share per
     element of J: g contributes its coefficient at the J-colors, and each
     J-position contributes its family member at that position's share. The
-    constant term stays g's constant term.
+    constant term stays g's constant term. With W_q the atom at q of the
+    radon lift of the family, this is sum_J g_J prod_q W_q^(J_q) / J_q!, and
+    each monomial costs one product along the prefixes of its key.
     """
     _check_family(g, family)
-    return TruncatedSeries(g.colors, g.order, _compose_table(g, family, g.order))
+    table = _compose_table(g, _Monomials(family, g.order))
+    return TruncatedSeries(g.colors, g.order, table)
 
 
 def compose_measure(gamma: MeasureSeries, family: FamilySeries) -> MeasureSeries:

@@ -1,9 +1,9 @@
 """Independent oracles and small builders shared by the test modules.
 
 Everything here is deliberately written from scratch against the defining
-formulas (subset sums, Bell recurrence, raw product enumeration, Leibniz
-expansions) so the
-package under test never checks itself against its own code paths.
+formulas (subset sums, set partitions, Bell recurrence, raw product
+enumeration, Leibniz expansions) so the package under test never checks
+itself against its own code paths.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-from lagrange_forest import ColorSet, TruncatedSeries
+from lagrange_forest import ColorSet, EmptyInput, TruncatedSeries, all_keys
 
 POOL = (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(2))
 
@@ -57,20 +57,80 @@ def enriched_count_oracle(n_vertices: int, sinks: tuple) -> int:
     return total
 
 
-def measure_compose_oracle(gamma, family, q: str, key: tuple) -> Fraction:
-    """Atom coefficient of a measure composition, straight from the definition.
+def multiply_many(factors) -> TruncatedSeries:
+    """Product of several series, computed directly via ordered partitions.
 
-    Treats the measure's atom table at q as a scalar series and substitutes
-    the measure "family times base measure" into it: sum over non-empty
-    position subsets J, with the remaining positions distributed over J in
-    all possible ways.
+    For every coefficient key, positions are distributed over the factors in
+    all possible ways (empty shares allowed): a second, independent route to
+    the iterated binary product.
+    """
+    if not factors:
+        raise EmptyInput("multiply_many needs at least one factor")
+    first = factors[0]
+    out = {}
+    for key in all_keys(first.colors, first.order):
+        n = len(key)
+        total = Fraction(0)
+        for assignment in product(range(len(factors)), repeat=n):
+            term = Fraction(1)
+            for idx, factor in enumerate(factors):
+                term *= factor.coefficient(
+                    tuple(key[p] for p in range(n) if assignment[p] == idx)
+                )
+            total += term
+        out[key] = total
+    return TruncatedSeries(first.colors, first.order, out)
+
+
+def _partitions(items: tuple):
+    """Set partitions of ``items``.
+
+    The first item either forms a block of its own or joins one block of a
+    partition of the remaining items.
+    """
+    if not items:
+        yield []
+        return
+    head, rest = items[0], items[1:]
+    for partition in _partitions(rest):
+        yield [(head,), *partition]
+        for i, block in enumerate(partition):
+            yield [*partition[:i], (head, *block), *partition[i + 1 :]]
+
+
+def exponential_oracle(k: TruncatedSeries, key: tuple, outer=None) -> Fraction:
+    """Coefficient of outer(K) at key: a sum over set partitions of its positions.
+
+    Each partition contributes the outer coefficient at its block count
+    (one for the exponential, the default) times K at every block.
+    """
+    weights = [1] * (len(key) + 1) if outer is None else list(outer)
+    weights += [0] * (len(key) + 1 - len(weights))
+    total = Fraction(0)
+    for partition in _partitions(tuple(range(len(key)))):
+        term = Fraction(weights[len(partition)])
+        for block in partition:
+            term *= k.coefficient(tuple(key[p] for p in block))
+        total += term
+    return total
+
+
+def compose_oracle(g: TruncatedSeries, family, key: tuple) -> Fraction:
+    """Coefficient of g composed with "family times base measure", from the definition.
+
+    Sums over non-empty position subsets J, with the remaining positions
+    distributed over J in all possible ways: g at the J-colors times, for
+    each J-position, its family member at its share. The constant term is
+    g's constant term.
     """
     n = len(key)
+    if n == 0:
+        return g.coefficient(())
     total = Fraction(0)
     positions = range(n)
     for size in range(1, n + 1):
         for chosen in combinations(positions, size):
-            gv = gamma.members[q].coefficient(tuple(key[p] for p in chosen))
+            gv = g.coefficient(tuple(key[p] for p in chosen))
             if not gv:
                 continue
             rest = [p for p in positions if p not in chosen]

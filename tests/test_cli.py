@@ -1,6 +1,7 @@
 """Command-line behavior: documents, exit codes, round trips, enumeration."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -53,6 +54,21 @@ def test_invert_cayley_values(tmp_path):
     values = {len(row["x"]): row["tree"] for row in result["coefficients"]}
     assert [values[n] for n in range(1, 6)] == ["1", "2", "9", "64", "625"]
     assert result["all_equal"] is True
+
+
+def test_invert_single_entry_kernel_at_order_twelve(tmp_path):
+    # kernel c*z: the inverse of z*exp(-c*z) has coefficients c^(n-1) n^(n-1);
+    # a partition-sum exponential would visit Bell(12) partitions per key
+    c = Fraction(-1, 2)
+    doc = cayley_doc(order=12)
+    doc["kernels"][0]["entries"][0]["value"] = str(c)
+    out = tmp_path / "result.json"
+    assert main(["invert", write_doc(tmp_path, doc), "-o", str(out)]) == 0
+    rows = json.loads(out.read_text())["coefficients"]
+    values = {len(row["x"]): row["tree"] for row in rows}
+    assert sorted(values) == list(range(1, 13))
+    for n, value in values.items():
+        assert Fraction(value) == c ** (n - 1) * n ** (n - 1), n
 
 
 def test_invert_respects_subset(tmp_path):

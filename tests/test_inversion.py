@@ -1,5 +1,6 @@
 """Tree fixed point, determinant formulas, cancellation, and round trips."""
 
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -351,3 +352,27 @@ def test_univariate_zero_kernel_is_identity_composition():
 def test_univariate_check_random():
     report = univariate_lagrange_check(["1/2", -1, 0, 1], [0, 1, "1/3", 2, -1], 4)
     assert report.passed, report.describe()
+
+
+# ---------------------------------------------------------------------------
+# scale regressions (no wall-time assertions)
+
+
+def test_tree_route_matches_determinant_route_dense_order_nine():
+    # dense d=2 kernel at order 9; the determinant route is queried up to size 4
+    rng = random.Random("dense-d2-n9")
+    entries = [
+        (q, key, rng.choice(("1", "-1", "1/2", "-1/2", "2")))
+        for q in AB.names
+        for key in all_keys(AB, 9)
+        if key
+    ]
+    problem = InversionProblem(make_kernel_family(AB, 9, entries))
+    inverse = solve_tree_fixed_point(problem).inverse
+    for subset in (("a", "b"), ("b",)):
+        tree = inverse.evaluate(subset)
+        for key in all_keys(AB, 4):
+            if key:
+                assert tree.coefficient(key) == inverse_via_determinant(
+                    problem, subset, key
+                ), (subset, key)

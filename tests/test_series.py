@@ -1,12 +1,20 @@
 """Core series algebra: constructors, operations, and algebraic laws."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import POOL, measure_compose_oracle, product_oracle, series_from
+from helpers import (
+    POOL,
+    compose_oracle,
+    exponential_oracle,
+    multiply_many,
+    product_oracle,
+    series_from,
+)
 from lagrange_forest import (
     ColorSet,
     ColorSetMismatch,
@@ -30,7 +38,6 @@ from lagrange_forest import (
     integrate,
     make_series,
     multiply,
-    multiply_many,
     radon_lift,
     rename_colors,
     restrict,
@@ -351,6 +358,11 @@ def test_radon_lift_evaluation_matches_integrate():
             {"a": random_series(cfg, "rad-a"), "b": random_series(cfg, "rad-b")},
         )
         assert radon_lift(fam).evaluate() == integrate(fam)
+        # integrate is the lift's total mass; check it against the definition:
+        # the family member pinned at each position, at the remaining positions
+        integrated, total = integrate(fam), indicator_series(AB, 4, AB.names)
+        for key in all_keys(AB, 4):
+            assert integrated.coefficient(key) == compose_oracle(total, fam, key)
 
 
 def test_measure_evaluate_on_subsets():
@@ -427,8 +439,8 @@ def test_compose_measure_matches_definition_oracle():
         composed = compose_measure(gamma, fam)
         for q in AB:
             for key in all_keys(AB, 3):
-                assert composed.members[q].coefficient(key) == measure_compose_oracle(
-                    gamma, fam, q, key
+                assert composed.members[q].coefficient(key) == compose_oracle(
+                    gamma.members[q], fam, key
                 )
 
 
@@ -561,3 +573,48 @@ def test_leibniz_property(triple):
         multiply(truncate(k, k.order - 1), variational_derivative(g, (pin,))),
     )
     assert left == right
+
+
+# ---------------------------------------------------------------------------
+# exact checks against the definitions, at key sizes up to 8
+
+ORACLE_GRID = [(1, 8), (2, 6), (3, 5)]
+
+
+def random_dense_series(d: int, order: int, seed: str, constant: bool = True):
+    rng = random.Random(seed)
+    colors = ColorSet(tuple("abc"[:d]))
+    table = {key: rng.choice(POOL) for key in all_keys(colors, order) if key or constant}
+    return series_from(colors, order, table)
+
+
+@pytest.mark.parametrize("d,order", ORACLE_GRID)
+def test_exponential_matches_partition_oracle(d, order):
+    k = random_dense_series(d, order, f"exp:{d}", constant=False)
+    e = exponential(k)
+    for key in all_keys(k.colors, order):
+        assert e.coefficient(key) == exponential_oracle(k, key), key
+
+
+@pytest.mark.parametrize("d,order", ORACLE_GRID)
+def test_compose_univariate_matches_partition_oracle(d, order):
+    k = random_dense_series(d, order, f"cu:{d}", constant=False)
+    rng = random.Random(f"cu-outer:{d}")
+    outer = [rng.choice(POOL) for _ in range(order + 1)]
+    composed = compose_univariate(outer, k)
+    for key in all_keys(k.colors, order):
+        assert composed.coefficient(key) == exponential_oracle(k, key, outer), key
+
+
+@pytest.mark.parametrize("d,order", ORACLE_GRID)
+def test_compose_family_matches_assignment_oracle(d, order):
+    g = random_dense_series(d, order, f"cf-g:{d}")
+    colors = g.colors
+    fam = FamilySeries(
+        colors,
+        order,
+        {q: random_dense_series(d, order, f"cf-{q}:{d}") for q in colors.names},
+    )
+    composed = compose_family(g, fam)
+    for key in all_keys(colors, order):
+        assert composed.coefficient(key) == compose_oracle(g, fam, key), key
