@@ -27,7 +27,6 @@ from .errors import (
     BlockTooLarge,
     ColorSetMismatch,
     DuplicateKey,
-    EmptyInput,
     EmptySubset,
     KeyTooLarge,
     LagrangeForestError,
@@ -40,7 +39,6 @@ from .errors import (
 )
 from .harness import SuiteConfig, random_kernel_family, random_series, run_suite
 from .inversion import (
-    InversionProblem,
     TreeSolution,
     finite_matrix_determinant,
     forward_measure,
@@ -63,7 +61,6 @@ from .series import (
     add,
     all_keys,
     canonical_key,
-    coefficient_at,
     compose_family,
     compose_measure,
     compose_univariate,
@@ -75,7 +72,6 @@ from .series import (
     make_series,
     multiply,
     radon_lift,
-    rename_colors,
     restrict,
     scale,
     variational_derivative,

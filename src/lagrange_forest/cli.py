@@ -25,7 +25,7 @@ from .combinat import (
 )
 from .errors import LagrangeForestError, SizeCapExceeded
 from .harness import SUITE_NAMES, SuiteConfig, run_suite
-from .inversion import InversionProblem, inverse_via_determinant, solve_tree_fixed_point
+from .inversion import inverse_via_determinant, solve_tree_fixed_point
 from .series import ColorSet, all_keys, make_kernel_family
 
 MAX_CLI_VERTICES = 9
@@ -242,8 +242,7 @@ def cmd_invert(
         return 3
 
     subset = doc.subset if doc.subset is not None else doc.colors
-    problem = InversionProblem(kernels)
-    inverse_table = solve_tree_fixed_point(problem).inverse.evaluate(subset)
+    inverse_table = solve_tree_fixed_point(kernels).inverse.evaluate(subset)
 
     rows = []
     all_equal = True
@@ -253,7 +252,7 @@ def cmd_invert(
         tree_value = inverse_table.coefficient(key)
         row = {"n": len(key), "x": list(key), "tree": str(tree_value)}
         if with_determinant:
-            det_value = inverse_via_determinant(problem, subset, key)
+            det_value = inverse_via_determinant(kernels, subset, key)
             row["det"] = str(det_value)
             row["equal"] = det_value == tree_value
             all_equal = all_equal and row["equal"]
@@ -272,8 +271,12 @@ def cmd_invert(
     if output_path is None:
         sys.stdout.write(rendered)
     else:
-        with open(output_path, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
+        try:
+            with open(output_path, "w", encoding="utf-8") as handle:
+                handle.write(rendered)
+        except OSError as exc:
+            print(f"error: cannot write {output_path}: {exc.strerror}", file=sys.stderr)
+            return 2
     return 0 if all_equal else 1
 
 

@@ -18,7 +18,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
-from weakref import WeakKeyDictionary
 
 from .errors import BlockTooLarge, SizeCapExceeded
 
@@ -132,7 +131,7 @@ def _check_cap(size: int, size_cap: int) -> None:
         )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _enriched_maps(domain: tuple[int, ...], sinks: tuple[int, ...]) -> tuple[EnrichedMap, ...]:
     universe = tuple(sorted(domain + sinks))
     out = []
@@ -327,7 +326,7 @@ def map_weight(m: EnrichedMap, coloring: Coloring, kernels: "KernelFamily") -> F
 # rooted trees
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _rooted_trees(domain: tuple[int, ...], sink: int) -> tuple[EnrichedMap, ...]:
     return tuple(
         m for m in _enriched_maps(domain, (sink,)) if is_vertex_rooted_tree(m)
@@ -347,9 +346,6 @@ def enumerate_rooted_trees(
     return list(_rooted_trees(dom, sink))
 
 
-_tree_memo: "WeakKeyDictionary[object, dict]" = WeakKeyDictionary()
-
-
 def tree_coefficient(
     n: int,
     root_color: str,
@@ -362,7 +358,8 @@ def tree_coefficient(
 
     The root is a ghost carrying ``root_color``; vertex ``i`` carries
     ``leaf_colors[i-1]``. By convention the empty tree (``n == 0``) has
-    coefficient one.
+    coefficient one. Sums are cached on the leaf multiset and the family's
+    identity.
     """
     if len(leaf_colors) != n:
         raise ValueError("leaf_colors must have length n")
@@ -370,19 +367,16 @@ def tree_coefficient(
         raise ValueError(f"n={n} exceeds the kernel family's order {kernels.order}")
     if n == 0:
         return Fraction(1)
-    memo = _tree_memo.setdefault(kernels, {})
-    key = (n, root_color, tuple(sorted(leaf_colors)))
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
     _check_cap(n + 1, size_cap)
-    coloring = {0: root_color}
-    for i, c in enumerate(leaf_colors, start=1):
-        coloring[i] = c
+    return _tree_sum(root_color, tuple(sorted(leaf_colors)), kernels)
+
+
+@lru_cache(maxsize=256)
+def _tree_sum(root_color: str, leaves: tuple[str, ...], kernels: "KernelFamily") -> Fraction:
+    coloring = {0: root_color, **dict(enumerate(leaves, start=1))}
     total = Fraction(0)
-    for tree in _rooted_trees(tuple(range(1, n + 1)), 0):
+    for tree in _rooted_trees(tuple(range(1, len(leaves) + 1)), 0):
         total += map_weight(tree, coloring, kernels)
-    memo[key] = total
     return total
 
 
@@ -390,7 +384,7 @@ def tree_coefficient(
 # crowns
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _crowns(domain: tuple[int, ...]) -> tuple[EnrichedMap, ...]:
     out = []
     n = len(domain)

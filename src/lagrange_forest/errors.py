@@ -25,10 +25,6 @@ class ColorSetMismatch(LagrangeForestError):
     """Operands were built over different color sets."""
 
 
-class EmptyInput(LagrangeForestError):
-    """An operation that needs at least one operand received none."""
-
-
 class NonzeroConstantTerm(LagrangeForestError):
     """The constant coefficient must vanish for this operation."""
 

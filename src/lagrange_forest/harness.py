@@ -19,7 +19,6 @@ from typing import Callable, Iterable, Sequence
 from . import combinat
 from .errors import UnknownSuite
 from .inversion import (
-    InversionProblem,
     _pinned_exponential,
     finite_matrix_determinant,
     fredholm_determinant,
@@ -125,13 +124,13 @@ def _pinned_tuples(cfg: SuiteConfig) -> Iterable[tuple[str, ...]]:
 
 
 def _suite_lagrange_good(cfg: SuiteConfig, trial: int) -> list[IdentityReport]:
-    problem = InversionProblem(random_kernel_family(cfg))
+    kernels = random_kernel_family(cfg)
     phi = random_series(cfg)
-    composed = compose_family(phi, solve_tree_fixed_point(problem).tree_factors)
+    composed = compose_family(phi, solve_tree_fixed_point(kernels).tree_factors)
     checks = 0
     for q_tuple in _pinned_tuples(cfg):
         want = composed.coefficient(q_tuple)
-        got = lagrange_good_coefficient(problem, phi, q_tuple)
+        got = lagrange_good_coefficient(kernels, phi, q_tuple)
         checks += 1
         if want != got:
             return [report_fail("lagrange-good", q_tuple, want, got, trial=trial)]
@@ -139,10 +138,10 @@ def _suite_lagrange_good(cfg: SuiteConfig, trial: int) -> list[IdentityReport]:
 
 
 def _suite_magic(cfg: SuiteConfig, trial: int) -> list[IdentityReport]:
-    problem = InversionProblem(random_kernel_family(cfg))
+    kernels = random_kernel_family(cfg)
     checks = 0
     for q_tuple in _pinned_tuples(cfg):
-        value = magic_sum(problem, q_tuple)
+        value = magic_sum(kernels, q_tuple)
         checks += 1
         if value:
             return [report_fail("magic", q_tuple, 0, value, trial=trial)]
@@ -150,16 +149,14 @@ def _suite_magic(cfg: SuiteConfig, trial: int) -> list[IdentityReport]:
 
 
 def _suite_round_trip(cfg: SuiteConfig, trial: int) -> list[IdentityReport]:
-    problem = InversionProblem(random_kernel_family(cfg))
-    return [_with_trial(round_trip_check(problem), trial)]
+    return [_with_trial(round_trip_check(random_kernel_family(cfg)), trial)]
 
 
 def _suite_species(cfg: SuiteConfig, trial: int) -> list[IdentityReport]:
     kernels = random_kernel_family(cfg)
-    problem = InversionProblem(kernels)
     rng = random.Random(f"species:{cfg.seed}")
     names = cfg.color_names
-    fredholm = fredholm_determinant(problem)
+    fredholm = fredholm_determinant(kernels)
     cap = min(cfg.max_tuple, 4, cfg.order)
     reports = []
 
@@ -168,7 +165,7 @@ def _suite_species(cfg: SuiteConfig, trial: int) -> list[IdentityReport]:
     for n in range(1, cap + 1):
         q_tuple = tuple(rng.choice(names) for _ in range(n))
         positions = tuple(range(1, n + 1))
-        exp_series = _pinned_exponential(problem, q_tuple, n)
+        exp_series = _pinned_exponential(kernels, q_tuple, n)
 
         for size in range(n + 1):
             for picked in combinations(positions, size):
@@ -266,12 +263,12 @@ def _exp_side(
 
 
 def _suite_determinant_reduction(cfg: SuiteConfig, trial: int) -> list[IdentityReport]:
-    problem = InversionProblem(random_kernel_family(cfg))
+    kernels = random_kernel_family(cfg)
     rng = random.Random(f"detred:{cfg.seed}")
     names = cfg.color_names
     subset = tuple(sorted(rng.sample(names, rng.randint(1, len(names)))))
-    fredholm = fredholm_determinant(problem)
-    small = finite_matrix_determinant(problem, subset)
+    fredholm = fredholm_determinant(kernels)
+    small = finite_matrix_determinant(kernels, subset)
     checks = 0
     for n in range(1, cfg.order + 1):
         for key in combinations_with_replacement(subset, n):

@@ -8,13 +8,17 @@ determinant. One routine computes that determinant, and its reduction to a
 finite matrix over a color subset, by the trace formula
 det(Id - L) = exp(-sum_m tr(L^m) / m). The cancellation between the two
 routes can be checked exactly.
+
+Every function takes the :class:`KernelFamily` itself. The Fredholm
+determinant, the one derived series that a run queries again for the same
+family, sits in a bounded ``lru_cache`` keyed on the family's identity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations
 from math import factorial
 from typing import Iterable, Sequence
@@ -44,22 +48,6 @@ from .series import (
 )
 
 
-@dataclass(eq=False)
-class InversionProblem:
-    """A kernel family bundled with per-problem caches for derived series."""
-
-    kernels: KernelFamily
-    _memo: dict = field(default_factory=dict, repr=False)
-
-    @property
-    def colors(self) -> ColorSet:
-        return self.kernels.colors
-
-    @property
-    def order(self) -> int:
-        return self.kernels.order
-
-
 @dataclass(frozen=True)
 class TreeSolution:
     """Per-color tree generating functions and the inverse measure series.
@@ -80,21 +68,15 @@ def _truncate(k: TruncatedSeries, new_order: int) -> TruncatedSeries:
     return TruncatedSeries(k.colors, new_order, table)
 
 
-def forward_measure(problem: InversionProblem) -> MeasureSeries:
+def forward_measure(kernels: KernelFamily) -> MeasureSeries:
     """The measure series being inverted: base measure times exp(-kernel)."""
-    cached = problem._memo.get("forward")
-    if cached is None:
-        colors, order = problem.colors, problem.order
-        members = {
-            q: exponential(scale(problem.kernels.series_at(q), -1))
-            for q in colors.names
-        }
-        cached = radon_lift(FamilySeries(colors, order, members))
-        problem._memo["forward"] = cached
-    return cached
+    members = {
+        q: exponential(scale(kernels.series_at(q), -1)) for q in kernels.colors.names
+    }
+    return radon_lift(FamilySeries(kernels.colors, kernels.order, members))
 
 
-def solve_tree_fixed_point(problem: InversionProblem) -> TreeSolution:
+def solve_tree_fixed_point(kernels: KernelFamily) -> TreeSolution:
     """Solve T_q = exp(kernel at q, substituted with T times the base measure).
 
     Iterates from the constant-one family; after step s the members are
@@ -102,10 +84,7 @@ def solve_tree_fixed_point(problem: InversionProblem) -> TreeSolution:
     consumes coefficients of size below s on the right. The number of steps
     therefore equals the truncation order.
     """
-    cached = problem._memo.get("tree_solution")
-    if cached is not None:
-        return cached
-    colors, order = problem.colors, problem.order
+    colors, order = kernels.colors, kernels.order
     current = FamilySeries.constant(colors, order, 1)
     for step in range(1, order + 1):
         monomials = _Monomials(current, step)  # shared by every color
@@ -114,16 +93,14 @@ def solve_tree_fixed_point(problem: InversionProblem) -> TreeSolution:
             exponent = TruncatedSeries(
                 colors,
                 order,
-                _compose_table(problem.kernels.series_at(q), monomials),
+                _compose_table(kernels.series_at(q), monomials),
             )
             members[q] = exponential(exponent)
         current = FamilySeries(colors, order, members)
-    solution = TreeSolution(tree_factors=current, inverse=radon_lift(current))
-    problem._memo["tree_solution"] = solution
-    return solution
+    return TreeSolution(tree_factors=current, inverse=radon_lift(current))
 
 
-def _determinant(problem: InversionProblem, labels: Sequence[str]) -> TruncatedSeries:
+def _determinant(kernels: KernelFamily, labels: Sequence[str]) -> TruncatedSeries:
     """det(Id - L) for the matrix L indexed by ``labels``.
 
     Entry (q, q') of L is the atom series at q times the kernel at q
@@ -132,7 +109,7 @@ def _determinant(problem: InversionProblem, labels: Sequence[str]) -> TruncatedS
     of L has a vanishing constant term, so L^m has no coefficient below size
     m and the sum stops at the order.
     """
-    colors, order = problem.colors, problem.order
+    colors, order = kernels.colors, kernels.order
     matrix = [
         [
             multiply(
@@ -140,7 +117,7 @@ def _determinant(problem: InversionProblem, labels: Sequence[str]) -> TruncatedS
                 TruncatedSeries(
                     colors,
                     order,
-                    variational_derivative(problem.kernels.series_at(q), (qp,)).table,
+                    variational_derivative(kernels.series_at(q), (qp,)).table,
                 ),
             )
             for qp in labels
@@ -164,23 +141,21 @@ def _determinant(problem: InversionProblem, labels: Sequence[str]) -> TruncatedS
     return exponential(log_det)
 
 
-def fredholm_determinant(problem: InversionProblem) -> TruncatedSeries:
+@lru_cache(maxsize=4)
+def fredholm_determinant(kernels: KernelFamily) -> TruncatedSeries:
     """Truncated Fredholm determinant of the derivative-kernel operator.
 
     Over a finite color set this is det(Id - L) for the derivative-kernel
     matrix L indexed by all colors. Its coefficient at a key is the signed
     sum over assemblies of crowns on the key's positions, each assembly
-    signed by its number of crowns. The constant term is one.
+    signed by its number of crowns. The constant term is one. The result is
+    cached on the family's identity, so every query on one family shares it.
     """
-    cached = problem._memo.get("fredholm")
-    if cached is None:
-        cached = _determinant(problem, problem.colors.names)
-        problem._memo["fredholm"] = cached
-    return cached
+    return _determinant(kernels, kernels.colors.names)
 
 
 def finite_matrix_determinant(
-    problem: InversionProblem, subset: Iterable[str]
+    kernels: KernelFamily, subset: Iterable[str]
 ) -> TruncatedSeries:
     """Determinant of the finite matrix indexed by a set of colors Q.
 
@@ -192,22 +167,20 @@ def finite_matrix_determinant(
     labels = tuple(dict.fromkeys(subset))
     if not labels:
         raise EmptySubset("the pinned color set must be non-empty")
-    problem.colors.require(labels)
-    return _determinant(problem, labels)
+    kernels.colors.require(labels)
+    return _determinant(kernels, labels)
 
 
 def _pinned_exponential(
-    problem: InversionProblem, q_tuple: Sequence[str], order: int
+    kernels: KernelFamily, q_tuple: Sequence[str], order: int
 ) -> TruncatedSeries:
     """exp of the sum of the kernels pinned at the tuple's colors, to ``order``."""
-    summed = reduce(
-        add, (_truncate(problem.kernels.series_at(q), order) for q in q_tuple)
-    )
+    summed = reduce(add, (_truncate(kernels.series_at(q), order) for q in q_tuple))
     return exponential(summed)
 
 
 def lagrange_good_coefficient(
-    problem: InversionProblem, phi: TruncatedSeries, q_tuple: Sequence[str]
+    kernels: KernelFamily, phi: TruncatedSeries, q_tuple: Sequence[str]
 ) -> Fraction:
     """Coefficient of the composed observable, via the determinant formula.
 
@@ -220,16 +193,16 @@ def lagrange_good_coefficient(
     n = len(q_tuple)
     if n < 1:
         raise ValueError("the pinned tuple must be non-empty")
-    if n > problem.order:
-        raise KeyTooLarge(f"tuple of size {n} exceeds order {problem.order}")
-    problem.colors.require(q_tuple)
-    pinned_exp = _pinned_exponential(problem, q_tuple, n)
-    det = _truncate(fredholm_determinant(problem), n)
+    if n > kernels.order:
+        raise KeyTooLarge(f"tuple of size {n} exceeds order {kernels.order}")
+    kernels.colors.require(q_tuple)
+    pinned_exp = _pinned_exponential(kernels, q_tuple, n)
+    det = _truncate(fredholm_determinant(kernels), n)
     prod_series = multiply(multiply(_truncate(phi, n), pinned_exp), det)
     return prod_series.coefficient(q_tuple)
 
 
-def magic_sum(problem: InversionProblem, q_tuple: Sequence[str]) -> Fraction:
+def magic_sum(kernels: KernelFamily, q_tuple: Sequence[str]) -> Fraction:
     """The cancellation sum behind the determinant formula; must be zero.
 
     Splits the tuple's positions into a subset fed to the pinned exponential
@@ -239,9 +212,9 @@ def magic_sum(problem: InversionProblem, q_tuple: Sequence[str]) -> Fraction:
     n = len(q_tuple)
     if n < 1:
         raise ValueError("the pinned tuple must be non-empty")
-    problem.colors.require(q_tuple)
-    pinned_exp = _pinned_exponential(problem, q_tuple, n)
-    det = _truncate(fredholm_determinant(problem), n)
+    kernels.colors.require(q_tuple)
+    pinned_exp = _pinned_exponential(kernels, q_tuple, n)
+    det = _truncate(fredholm_determinant(kernels), n)
     positions = range(n)
     total = Fraction(0)
     for size in range(n + 1):
@@ -257,11 +230,11 @@ def magic_sum(problem: InversionProblem, q_tuple: Sequence[str]) -> Fraction:
 
 
 def inverse_via_determinant(
-    problem: InversionProblem, subset: Iterable[str], q_tuple: Sequence[str]
+    kernels: KernelFamily, subset: Iterable[str], q_tuple: Sequence[str]
 ) -> Fraction:
     """Coefficient of the inverse measure on a color subset, determinant route."""
-    phi = indicator_series(problem.colors, problem.order, subset)
-    return lagrange_good_coefficient(problem, phi, q_tuple)
+    phi = indicator_series(kernels.colors, kernels.order, subset)
+    return lagrange_good_coefficient(kernels, phi, q_tuple)
 
 
 def identity_measure(colors: ColorSet, order: int) -> MeasureSeries:
@@ -269,20 +242,20 @@ def identity_measure(colors: ColorSet, order: int) -> MeasureSeries:
     return radon_lift(FamilySeries.constant(colors, order, 1))
 
 
-def round_trip_check(problem: InversionProblem) -> IdentityReport:
+def round_trip_check(kernels: KernelFamily) -> IdentityReport:
     """Both compositions of the forward and inverse series must be the identity."""
-    solution = solve_tree_fixed_point(problem)
-    forward = forward_measure(problem)
-    identity = identity_measure(problem.colors, problem.order)
+    solution = solve_tree_fixed_point(kernels)
+    forward = forward_measure(kernels)
+    identity = identity_measure(kernels.colors, kernels.order)
     sides = (
         ("forward-after-inverse", compose_measure(forward, solution.tree_factors)),
         ("inverse-after-forward", compose_measure(solution.inverse, forward.density)),
     )
     for side, composed in sides:
-        for q in problem.colors.sorted_names:
+        for q in kernels.colors.sorted_names:
             got_table = composed.members[q].table
             want_table = identity.members[q].table
-            for key in all_keys(problem.colors, problem.order):
+            for key in all_keys(kernels.colors, kernels.order):
                 got = got_table.get(key, Fraction(0))
                 want = want_table.get(key, Fraction(0))
                 if got != want:
@@ -354,8 +327,8 @@ def _u_pow(a: Sequence[Fraction], exponent: int, order: int) -> list[Fraction]:
 UNIVARIATE_COLOR = "x"
 
 
-def univariate_problem(kernel_coeffs: Sequence) -> InversionProblem:
-    """Single-color problem with kernel values taken from a coefficient list.
+def univariate_kernels(kernel_coeffs: Sequence) -> KernelFamily:
+    """Single-color kernel family with values taken from a coefficient list.
 
     ``kernel_coeffs[i]`` is the size-(i+1) kernel coefficient in the
     exponential convention.
@@ -366,7 +339,7 @@ def univariate_problem(kernel_coeffs: Sequence) -> InversionProblem:
         (UNIVARIATE_COLOR, (UNIVARIATE_COLOR,) * (i + 1), value)
         for i, value in enumerate(kernel_coeffs)
     ]
-    return InversionProblem(make_kernel_family(colors, order, entries))
+    return make_kernel_family(colors, order, entries)
 
 
 def univariate_lagrange_check(
@@ -392,8 +365,8 @@ def univariate_lagrange_check(
     kernel_padded = (
         kernel_coeffs + [Fraction(0)] * max(0, order - len(kernel_coeffs))
     )[:order]
-    problem = univariate_problem(kernel_padded)
-    colors = problem.colors
+    kernels = univariate_kernels(kernel_padded)
+    colors = kernels.colors
     x = UNIVARIATE_COLOR
 
     phi = make_series(
@@ -401,7 +374,7 @@ def univariate_lagrange_check(
         order,
         [((x,) * m, outer_coeffs[m]) for m in range(min(len(outer_coeffs), order + 1))],
     )
-    solution = solve_tree_fixed_point(problem)
+    solution = solve_tree_fixed_point(kernels)
     composed = compose_family(phi, solution.tree_factors)
 
     # independent monomial-side data

@@ -324,10 +324,6 @@ def variational_derivative(k: TruncatedSeries, pins: Sequence[str]) -> Truncated
     return TruncatedSeries(k.colors, new_order, out)
 
 
-def coefficient_at(k: TruncatedSeries, q_tuple: Sequence[str]) -> Fraction:
-    return k.coefficient(q_tuple)
-
-
 def restrict(k: TruncatedSeries, subset: Iterable[str]) -> TruncatedSeries:
     """Zero out every coefficient whose key uses a color outside ``subset``."""
     labels = set(subset)
@@ -336,18 +332,6 @@ def restrict(k: TruncatedSeries, subset: Iterable[str]) -> TruncatedSeries:
         key: value for key, value in k.table.items() if set(key) <= labels
     }
     return TruncatedSeries(k.colors, k.order, table)
-
-
-def rename_colors(k: TruncatedSeries, mapping: dict[str, str]) -> TruncatedSeries:
-    """Apply a bijective relabelling of colors to a series."""
-    if set(mapping) != set(k.colors.names) or len(set(mapping.values())) != len(mapping):
-        raise ValueError("mapping must be a bijection defined on every color")
-    new_colors = ColorSet(tuple(mapping[name] for name in k.colors.names))
-    table = {
-        canonical_key(mapping[c] for c in key): value
-        for key, value in k.table.items()
-    }
-    return TruncatedSeries(new_colors, k.order, table)
 
 
 # ---------------------------------------------------------------------------
@@ -549,6 +533,10 @@ class KernelFamily:
     ``tables[q]`` maps canonical keys of size 1..order to the kernel value
     with first argument q. Size-zero keys are forbidden: the constant
     coefficient of every pinned series vanishes by construction.
+
+    A family hashes by identity, so the package's caches (the Fredholm
+    determinant, the tree sums of :mod:`combinat`) key on the object: build
+    it once and do not mutate its tables afterwards.
     """
 
     colors: ColorSet

@@ -12,7 +12,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-from lagrange_forest import ColorSet, EmptyInput, TruncatedSeries, all_keys
+from lagrange_forest import ColorSet, TruncatedSeries, all_keys
 
 POOL = (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(2))
 
@@ -65,7 +65,7 @@ def multiply_many(factors) -> TruncatedSeries:
     the iterated binary product.
     """
     if not factors:
-        raise EmptyInput("multiply_many needs at least one factor")
+        raise ValueError("multiply_many needs at least one factor")
     first = factors[0]
     out = {}
     for key in all_keys(first.colors, first.order):

@@ -11,7 +11,6 @@ import time
 from lagrange_forest import (
     ColorSet,
     EnrichedMap,
-    InversionProblem,
     SuiteConfig,
     enumerate_crowns,
     enumerate_enriched_maps,
@@ -41,15 +40,15 @@ def _run_green(name: str, configs) -> int:
 def test_criterion_1_cayley_tree_function():
     started = time.monotonic()
     colors = ColorSet(("a",))
-    problem = InversionProblem(make_kernel_family(colors, 5, [("a", ("a",), 1)]))
-    solution = solve_tree_fixed_point(problem)
+    kernels = make_kernel_family(colors, 5, [("a", ("a",), 1)])
+    solution = solve_tree_fixed_point(kernels)
     member = solution.tree_factors.members["a"]
     inverse = solution.inverse.evaluate()
     expected_trees = {1: 1, 2: 3, 3: 16, 4: 125, 5: 1296}
     for n in range(1, 6):
         key = ("a",) * n
         assert member.coefficient(key) == expected_trees[n]
-        assert member.coefficient(key) == tree_coefficient(n, "a", key, problem.kernels)
+        assert member.coefficient(key) == tree_coefficient(n, "a", key, kernels)
         assert inverse.coefficient(key) == n ** (n - 1)
     _finish(1, started, 10.0, "single-color tree counts (n+1)^(n-1), inverse n^(n-1)")
 

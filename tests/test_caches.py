@@ -1,0 +1,46 @@
+"""The package's caches: every one is bounded, and the determinant is shared."""
+
+import importlib
+import pkgutil
+
+import lagrange_forest
+from lagrange_forest import fredholm_determinant
+from lagrange_forest.cli import dump_document, main
+
+
+def test_invert_det_computes_one_determinant(tmp_path):
+    size_one = [
+        {"q": "a", "x": ["a"], "value": "1"},
+        {"q": "b", "x": ["a"], "value": "1/2"},
+    ]
+    size_two = [{"q": "b", "x": ["a", "b"], "value": "-1"}]
+    doc = {
+        "colors": ["a", "b"],
+        "order": 4,
+        "kernels": [{"n": 1, "entries": size_one}, {"n": 2, "entries": size_two}],
+    }
+    config = tmp_path / "problem.json"
+    config.write_text(dump_document(doc))
+    fredholm_determinant.cache_clear()
+    assert main(["invert", str(config), "--det"]) == 0
+    info = fredholm_determinant.cache_info()
+    keys = 2 + 3 + 4 + 5  # non-empty keys of size <= 4 over two colors
+    assert info.misses == 1
+    assert info.hits == keys - 1
+
+
+def test_every_cache_is_bounded():
+    found = {}
+    for module in pkgutil.iter_modules(lagrange_forest.__path__):
+        loaded = importlib.import_module(f"lagrange_forest.{module.name}")
+        for name, value in vars(loaded).items():
+            if hasattr(value, "cache_parameters"):
+                found[f"{module.name}.{name}"] = value.cache_parameters()["maxsize"]
+    assert {
+        "combinat._enriched_maps",
+        "combinat._rooted_trees",
+        "combinat._crowns",
+        "combinat._tree_sum",
+        "inversion.fredholm_determinant",
+    } <= set(found)
+    assert all(maxsize is not None for maxsize in found.values()), found

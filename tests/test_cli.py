@@ -195,6 +195,16 @@ def test_invert_stdout_when_no_output_path(tmp_path, capsys):
     assert json.loads(printed)["colors"] == ["a"]
 
 
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_invert_unwritable_output_exits_2(tmp_path, capsys, target):
+    config = write_doc(tmp_path, cayley_doc(order=3))
+    out = tmp_path / "absent" / "result.json" if target == "missing-directory" else tmp_path
+    assert main(["invert", config, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(out) in err
+
+
 def test_invert_accepts_phi_field(tmp_path):
     doc = zero_doc()
     doc["phi"] = [{"n": 1, "entries": [{"x": ["a"], "value": "1/2"}]}]
@@ -206,7 +216,7 @@ def test_invert_mismatch_exits_1(tmp_path, monkeypatch):
     # force a disagreement between the two routes to exercise the exit code
     import lagrange_forest.cli as cli_module
 
-    def skewed(problem, subset, key):
+    def skewed(kernels, subset, key):
         from fractions import Fraction
 
         return Fraction(1, 7)

@@ -10,7 +10,7 @@ from lagrange_forest import (
     ColorSet,
     EmptySubset,
     FamilySeries,
-    InversionProblem,
+    KernelFamily,
     SuiteConfig,
     all_keys,
     compose_family,
@@ -35,7 +35,7 @@ from lagrange_forest import (
     univariate_lagrange_check,
     variational_derivative,
 )
-from lagrange_forest.inversion import univariate_problem
+from lagrange_forest.inversion import univariate_kernels
 
 from helpers import fredholm_oracle
 
@@ -43,17 +43,17 @@ A = ColorSet(("a",))
 AB = ColorSet(("a", "b"))
 
 
-def cayley_problem(order: int) -> InversionProblem:
-    return InversionProblem(make_kernel_family(A, order, [("a", ("a",), 1)]))
+def cayley_kernels(order: int) -> KernelFamily:
+    return make_kernel_family(A, order, [("a", ("a",), 1)])
 
 
-def zero_problem(colors: ColorSet, order: int) -> InversionProblem:
-    return InversionProblem(make_kernel_family(colors, order, []))
+def zero_kernels(colors: ColorSet, order: int) -> KernelFamily:
+    return make_kernel_family(colors, order, [])
 
 
-def random_problem(seed: int, colors: int = 2, order: int = 4) -> InversionProblem:
+def random_kernels(seed: int, colors: int = 2, order: int = 4) -> KernelFamily:
     cfg = SuiteConfig(seed=seed, colors=colors, order=order, trials=1)
-    return InversionProblem(random_kernel_family(cfg))
+    return random_kernel_family(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -61,13 +61,13 @@ def random_problem(seed: int, colors: int = 2, order: int = 4) -> InversionProbl
 
 
 def test_forward_measure_of_zero_kernel_is_base_measure():
-    problem = zero_problem(AB, 3)
-    assert forward_measure(problem) == identity_measure(AB, 3)
+    kernels = zero_kernels(AB, 3)
+    assert forward_measure(kernels) == identity_measure(AB, 3)
 
 
 def test_forward_measure_single_color_values():
-    problem = cayley_problem(4)
-    member = forward_measure(problem).members["a"]
+    kernels = cayley_kernels(4)
+    member = forward_measure(kernels).members["a"]
     # density exp(-z): atom coefficients n * (-1)**(n-1)
     assert member.coefficient(("a",)) == 1
     assert member.coefficient(("a", "a")) == -2
@@ -80,7 +80,7 @@ def test_forward_measure_sign_flip():
     positive_density = FamilySeries(
         AB, 3, {q: exponential(kernels.series_at(q)) for q in AB}
     )
-    assert forward_measure(InversionProblem(flipped)) == radon_lift(positive_density)
+    assert forward_measure(flipped) == radon_lift(positive_density)
 
 
 # ---------------------------------------------------------------------------
@@ -88,38 +88,38 @@ def test_forward_measure_sign_flip():
 
 
 def test_tree_solution_of_zero_kernel():
-    problem = zero_problem(AB, 3)
-    solution = solve_tree_fixed_point(problem)
+    kernels = zero_kernels(AB, 3)
+    solution = solve_tree_fixed_point(kernels)
     assert solution.tree_factors == FamilySeries.constant(AB, 3, 1)
     assert solution.inverse == identity_measure(AB, 3)
 
 
 def test_tree_solution_cayley_counts():
-    problem = cayley_problem(5)
-    member = solve_tree_fixed_point(problem).tree_factors.members["a"]
+    kernels = cayley_kernels(5)
+    member = solve_tree_fixed_point(kernels).tree_factors.members["a"]
     for n in range(6):
         assert member.coefficient(("a",) * n) == (n + 1) ** (n - 1) if n else 1
-    inverse = solve_tree_fixed_point(problem).inverse.evaluate()
+    inverse = solve_tree_fixed_point(kernels).inverse.evaluate()
     for n in range(1, 6):
         assert inverse.coefficient(("a",) * n) == n ** (n - 1)
 
 
 def test_tree_solution_matches_enumeration_entrywise():
-    problem = random_problem(seed=21, colors=2, order=4)
-    factors = solve_tree_fixed_point(problem).tree_factors
+    kernels = random_kernels(seed=21, colors=2, order=4)
+    factors = solve_tree_fixed_point(kernels).tree_factors
     for q in AB:
         member = factors.members[q]
         for key in all_keys(AB, 4):
             assert member.coefficient(key) == tree_coefficient(
-                len(key), q, key, problem.kernels
+                len(key), q, key, kernels
             )
 
 
 def test_tree_solution_satisfies_fixed_point_equation():
-    problem = random_problem(seed=8, colors=2, order=4)
-    factors = solve_tree_fixed_point(problem).tree_factors
+    kernels = random_kernels(seed=8, colors=2, order=4)
+    factors = solve_tree_fixed_point(kernels).tree_factors
     for q in AB:
-        exponent = compose_family(problem.kernels.series_at(q), factors)
+        exponent = compose_family(kernels.series_at(q), factors)
         assert exponential(exponent) == factors.members[q]
 
 
@@ -128,21 +128,21 @@ def test_tree_solution_satisfies_fixed_point_equation():
 
 
 def test_fredholm_of_zero_kernel_is_one():
-    problem = zero_problem(AB, 3)
-    assert fredholm_determinant(problem) == constant_series(AB, 3, 1)
+    kernels = zero_kernels(AB, 3)
+    assert fredholm_determinant(kernels) == constant_series(AB, 3, 1)
 
 
 def test_fredholm_first_order_coefficient():
     kernels = make_kernel_family(
         AB, 3, [("a", ("a",), "2/3"), ("b", ("b",), 4), ("a", ("a", "b"), 1)]
     )
-    det = fredholm_determinant(InversionProblem(kernels))
+    det = fredholm_determinant(kernels)
     assert det.coefficient(("a",)) == Fraction(-2, 3)
     assert det.coefficient(("b",)) == -4
 
 
 def test_fredholm_cayley_is_one_minus_z():
-    det = fredholm_determinant(cayley_problem(5))
+    det = fredholm_determinant(cayley_kernels(5))
     assert det.coefficient(()) == 1
     assert det.coefficient(("a",)) == -1
     for n in range(2, 6):
@@ -152,61 +152,61 @@ def test_fredholm_cayley_is_one_minus_z():
 def test_fredholm_matches_crown_oracle():
     from lagrange_forest import det_coefficient_via_crowns
 
-    problem = random_problem(seed=13, colors=2, order=4)
-    det = fredholm_determinant(problem)
+    kernels = random_kernels(seed=13, colors=2, order=4)
+    det = fredholm_determinant(kernels)
     for key in all_keys(AB, 4):
         if key:
             assert det.coefficient(key) == det_coefficient_via_crowns(
-                key, problem.kernels
+                key, kernels
             )
 
 
 @pytest.mark.parametrize("colors, order", [(1, 6), (2, 5), (3, 4)])
 def test_fredholm_matches_subset_expansion_oracle(colors, order):
-    problem = random_problem(seed=2, colors=colors, order=order)
-    det = fredholm_determinant(problem)
-    for key in all_keys(problem.colors, order):
+    kernels = random_kernels(seed=2, colors=colors, order=order)
+    det = fredholm_determinant(kernels)
+    for key in all_keys(kernels.colors, order):
         if key:
-            assert det.coefficient(key) == fredholm_oracle(problem.kernels, key)
+            assert det.coefficient(key) == fredholm_oracle(kernels, key)
 
 
 def test_finite_matrix_trivial_cases():
-    assert finite_matrix_determinant(zero_problem(AB, 3), ("a",)) == constant_series(
+    assert finite_matrix_determinant(zero_kernels(AB, 3), ("a",)) == constant_series(
         AB, 3, 1
     )
-    problem = cayley_problem(3)
-    det = finite_matrix_determinant(problem, ("a",))
+    kernels = cayley_kernels(3)
+    det = finite_matrix_determinant(kernels, ("a",))
     assert det.coefficient(("a",)) == -1
 
 
 def test_finite_matrix_agrees_with_fredholm_and_is_stable_under_enlargement():
     from itertools import combinations_with_replacement
 
-    problem = random_problem(seed=17, colors=3, order=3)
-    fred = fredholm_determinant(problem)
-    small = finite_matrix_determinant(problem, ("a", "c"))
-    large = finite_matrix_determinant(problem, ("a", "b", "c"))
+    kernels = random_kernels(seed=17, colors=3, order=3)
+    fred = fredholm_determinant(kernels)
+    small = finite_matrix_determinant(kernels, ("a", "c"))
+    large = finite_matrix_determinant(kernels, ("a", "b", "c"))
     for n in range(1, 4):
         for key in combinations_with_replacement(("a", "c"), n):
             assert small.coefficient(key) == fred.coefficient(key)
-            assert large.coefficient(key) == fredholm_oracle(problem.kernels, key)
+            assert large.coefficient(key) == fredholm_oracle(kernels, key)
 
 
 def test_finite_matrix_empty_subset():
     with pytest.raises(EmptySubset):
-        finite_matrix_determinant(cayley_problem(2), ())
+        finite_matrix_determinant(cayley_kernels(2), ())
 
 
 def test_pinned_determinants_and_derivative_kernel():
-    problem = random_problem(seed=3, colors=2, order=3)
-    fred = fredholm_determinant(problem)
-    assert finite_matrix_determinant(problem, ("b", "a", "b")) == fred
+    kernels = random_kernels(seed=3, colors=2, order=3)
+    fred = fredholm_determinant(kernels)
+    assert finite_matrix_determinant(kernels, ("b", "a", "b")) == fred
     # derivative kernel constant term is the size-1 kernel value
     for p in AB:
         for q in AB:
-            derivative = variational_derivative(problem.kernels.series_at(q), (p,))
-            assert derivative.f0 == problem.kernels.value(q, (p,))
-    pinned = finite_matrix_determinant(problem, ("a",))
+            derivative = variational_derivative(kernels.series_at(q), (p,))
+            assert derivative.f0 == kernels.value(q, (p,))
+    pinned = finite_matrix_determinant(kernels, ("a",))
     for key in all_keys(AB, 3):
         if key and set(key) <= {"a"}:
             assert pinned.coefficient(key) == fred.coefficient(key)
@@ -217,32 +217,32 @@ def test_pinned_determinants_and_derivative_kernel():
 
 
 def test_lagrange_good_constant_observable_vanishes():
-    problem = random_problem(seed=5, colors=2, order=4)
+    kernels = random_kernels(seed=5, colors=2, order=4)
     phi = constant_series(AB, 4, 1)
     for key in all_keys(AB, 4):
         if key:
-            assert lagrange_good_coefficient(problem, phi, key) == 0
+            assert lagrange_good_coefficient(kernels, phi, key) == 0
 
 
 def test_lagrange_good_zero_kernel_returns_observable_coefficient():
-    problem = zero_problem(AB, 4)
+    kernels = zero_kernels(AB, 4)
     cfg = SuiteConfig(seed=2, colors=2, order=4, trials=1)
     phi = random_series(cfg)
     for key in all_keys(AB, 4):
         if key:
-            assert lagrange_good_coefficient(problem, phi, key) == phi.coefficient(key)
+            assert lagrange_good_coefficient(kernels, phi, key) == phi.coefficient(key)
 
 
 def test_lagrange_good_cayley_tree_function():
-    problem = cayley_problem(5)
+    kernels = cayley_kernels(5)
     phi = indicator_series(A, 5, ("a",))
     for n in range(1, 6):
-        assert lagrange_good_coefficient(problem, phi, ("a",) * n) == n ** (n - 1)
+        assert lagrange_good_coefficient(kernels, phi, ("a",) * n) == n ** (n - 1)
 
 
 def test_lagrange_good_rejects_empty_tuple():
     with pytest.raises(ValueError):
-        lagrange_good_coefficient(cayley_problem(3), constant_series(A, 3, 1), ())
+        lagrange_good_coefficient(cayley_kernels(3), constant_series(A, 3, 1), ())
 
 
 # ---------------------------------------------------------------------------
@@ -251,25 +251,24 @@ def test_lagrange_good_rejects_empty_tuple():
 
 def test_magic_sum_first_order_cancellation():
     kernels = make_kernel_family(AB, 2, [("a", ("a",), "7/3")])
-    problem = InversionProblem(kernels)
     # first-order: pinned exponential contributes the kernel value, the
     # determinant its negative
-    assert magic_sum(problem, ("a",)) == 0
+    assert magic_sum(kernels, ("a",)) == 0
 
 
 def test_magic_sum_zero_kernel():
-    problem = zero_problem(AB, 3)
+    kernels = zero_kernels(AB, 3)
     for key in all_keys(AB, 3):
         if key:
-            assert magic_sum(problem, key) == 0
+            assert magic_sum(kernels, key) == 0
 
 
 def test_magic_sum_random_instances():
     for seed in range(4):
-        problem = random_problem(seed=seed, colors=2, order=4)
+        kernels = random_kernels(seed=seed, colors=2, order=4)
         for key in all_keys(AB, 4):
             if key:
-                assert magic_sum(problem, key) == 0
+                assert magic_sum(kernels, key) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -277,26 +276,25 @@ def test_magic_sum_random_instances():
 
 
 def test_inverse_via_determinant_first_order():
-    problem = random_problem(seed=30, colors=2, order=3)
-    assert inverse_via_determinant(problem, ("a",), ("a",)) == 1
-    assert inverse_via_determinant(problem, ("b",), ("a",)) == 0
+    kernels = random_kernels(seed=30, colors=2, order=3)
+    assert inverse_via_determinant(kernels, ("a",), ("a",)) == 1
+    assert inverse_via_determinant(kernels, ("b",), ("a",)) == 0
 
 
 def test_inverse_via_determinant_outside_subset_vanishes():
-    problem = random_problem(seed=31, colors=2, order=3)
+    kernels = random_kernels(seed=31, colors=2, order=3)
     for n in range(1, 4):
-        assert inverse_via_determinant(problem, ("b",), ("a",) * n) == 0
+        assert inverse_via_determinant(kernels, ("b",), ("a",) * n) == 0
 
 
 def test_inverse_via_determinant_cayley():
-    problem = cayley_problem(5)
+    kernels = cayley_kernels(5)
     for n in range(1, 6):
-        assert inverse_via_determinant(problem, ("a",), ("a",) * n) == n ** (n - 1)
+        assert inverse_via_determinant(kernels, ("a",), ("a",) * n) == n ** (n - 1)
 
 
 def test_inverse_via_determinant_matches_tree_formula():
-    problem = random_problem(seed=33, colors=2, order=4)
-    kernels = problem.kernels
+    kernels = random_kernels(seed=33, colors=2, order=4)
     subset = ("a",)
     for key in all_keys(AB, 4):
         if not key:
@@ -306,7 +304,7 @@ def test_inverse_via_determinant_matches_tree_formula():
             if root in subset:
                 rest = key[:r] + key[r + 1 :]
                 tree_value += tree_coefficient(len(rest), root, rest, kernels)
-        assert inverse_via_determinant(problem, subset, key) == tree_value
+        assert inverse_via_determinant(kernels, subset, key) == tree_value
 
 
 # ---------------------------------------------------------------------------
@@ -314,17 +312,17 @@ def test_inverse_via_determinant_matches_tree_formula():
 
 
 def test_round_trip_zero_kernel():
-    assert round_trip_check(zero_problem(AB, 3)).passed
+    assert round_trip_check(zero_kernels(AB, 3)).passed
 
 
 def test_round_trip_cayley_order_six():
-    report = round_trip_check(cayley_problem(6))
+    report = round_trip_check(cayley_kernels(6))
     assert report.passed, report.describe()
 
 
 def test_round_trip_random_instances():
     for seed in (1, 2, 3):
-        report = round_trip_check(random_problem(seed=seed, colors=2, order=4))
+        report = round_trip_check(random_kernels(seed=seed, colors=2, order=4))
         assert report.passed, report.describe()
 
 
@@ -333,9 +331,9 @@ def test_round_trip_random_instances():
 
 
 def test_univariate_tree_function_values():
-    problem = univariate_problem([1, 0, 0, 0, 0])
-    solution = solve_tree_fixed_point(problem)
-    colors = problem.colors
+    kernels = univariate_kernels([1, 0, 0, 0, 0])
+    solution = solve_tree_fixed_point(kernels)
+    colors = kernels.colors
     phi = make_series(colors, 5, [(("x",), 1)])
     composed = compose_family(phi, solution.tree_factors)
     for n in range(1, 6):
@@ -367,12 +365,12 @@ def test_tree_route_matches_determinant_route_dense_order_nine():
         for key in all_keys(AB, 9)
         if key
     ]
-    problem = InversionProblem(make_kernel_family(AB, 9, entries))
-    inverse = solve_tree_fixed_point(problem).inverse
+    kernels = make_kernel_family(AB, 9, entries)
+    inverse = solve_tree_fixed_point(kernels).inverse
     for subset in (("a", "b"), ("b",)):
         tree = inverse.evaluate(subset)
         for key in all_keys(AB, 4):
             if key:
                 assert tree.coefficient(key) == inverse_via_determinant(
-                    problem, subset, key
+                    kernels, subset, key
                 ), (subset, key)
