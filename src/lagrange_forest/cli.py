@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,6 +30,9 @@ from .inversion import inverse_via_determinant, solve_tree_fixed_point
 from .series import ColorSet, all_keys, make_kernel_family
 
 MAX_CLI_VERTICES = 9
+# ASCII digits only: Fraction would also take decimals, exponents, spaces,
+# underscores and non-ASCII digits, and "1e100000000" takes unbounded time
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 class DocumentParseError(Exception):
@@ -76,12 +80,14 @@ def _parse_rational(raw: object, text: str, path: str) -> Fraction:
         raise DocumentParseError(
             f"{path}: values must be \"p/q\" strings or integers, got {raw!r}"
         )
-    try:
-        return Fraction(raw)
-    except (ValueError, ZeroDivisionError):
-        line = _find_line(text, raw)
-        anchor = f"{path}:{line}" if line is not None else path
-        raise DocumentParseError(f"{anchor}: invalid rational value {raw!r}") from None
+    if _RATIONAL.fullmatch(raw):
+        try:
+            return Fraction(raw)
+        except (ValueError, ZeroDivisionError):
+            pass  # more digits than int() accepts, or a zero denominator
+    line = _find_line(text, raw)
+    anchor = f"{path}:{line}" if line is not None else path
+    raise DocumentParseError(f"{anchor}: invalid rational value {raw!r}")
 
 
 def load_problem_document(path: str) -> ProblemDocument:

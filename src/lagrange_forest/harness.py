@@ -123,8 +123,9 @@ def _pinned_tuples(cfg: SuiteConfig) -> Iterable[tuple[str, ...]]:
         yield from combinations_with_replacement(names, n)
 
 
-def _suite_lagrange_good(cfg: SuiteConfig, trial: int) -> list[IdentityReport]:
-    kernels = random_kernel_family(cfg)
+def _suite_lagrange_good(
+    cfg: SuiteConfig, trial: int, kernels: KernelFamily
+) -> list[IdentityReport]:
     phi = random_series(cfg)
     composed = compose_family(phi, solve_tree_fixed_point(kernels).tree_factors)
     checks = 0
@@ -137,8 +138,9 @@ def _suite_lagrange_good(cfg: SuiteConfig, trial: int) -> list[IdentityReport]:
     return [report_pass("lagrange-good", trial=trial, checks=checks)]
 
 
-def _suite_magic(cfg: SuiteConfig, trial: int) -> list[IdentityReport]:
-    kernels = random_kernel_family(cfg)
+def _suite_magic(
+    cfg: SuiteConfig, trial: int, kernels: KernelFamily
+) -> list[IdentityReport]:
     checks = 0
     for q_tuple in _pinned_tuples(cfg):
         value = magic_sum(kernels, q_tuple)
@@ -148,12 +150,15 @@ def _suite_magic(cfg: SuiteConfig, trial: int) -> list[IdentityReport]:
     return [report_pass("magic", trial=trial, checks=checks)]
 
 
-def _suite_round_trip(cfg: SuiteConfig, trial: int) -> list[IdentityReport]:
-    return [_with_trial(round_trip_check(random_kernel_family(cfg)), trial)]
+def _suite_round_trip(
+    cfg: SuiteConfig, trial: int, kernels: KernelFamily
+) -> list[IdentityReport]:
+    return [_with_trial(round_trip_check(kernels), trial)]
 
 
-def _suite_species(cfg: SuiteConfig, trial: int) -> list[IdentityReport]:
-    kernels = random_kernel_family(cfg)
+def _suite_species(
+    cfg: SuiteConfig, trial: int, kernels: KernelFamily
+) -> list[IdentityReport]:
     rng = random.Random(f"species:{cfg.seed}")
     names = cfg.color_names
     fredholm = fredholm_determinant(kernels)
@@ -262,8 +267,9 @@ def _exp_side(
     return combinat.exp_coefficient_via_maps(sub_tuple, rebased, kernels)
 
 
-def _suite_determinant_reduction(cfg: SuiteConfig, trial: int) -> list[IdentityReport]:
-    kernels = random_kernel_family(cfg)
+def _suite_determinant_reduction(
+    cfg: SuiteConfig, trial: int, kernels: KernelFamily
+) -> list[IdentityReport]:
     rng = random.Random(f"detred:{cfg.seed}")
     names = cfg.color_names
     subset = tuple(sorted(rng.sample(names, rng.randint(1, len(names)))))
@@ -293,14 +299,19 @@ def _suite_determinant_reduction(cfg: SuiteConfig, trial: int) -> list[IdentityR
     ]
 
 
-def _suite_univariate(cfg: SuiteConfig, trial: int) -> list[IdentityReport]:
+def _suite_univariate(
+    cfg: SuiteConfig, trial: int, kernels: KernelFamily
+) -> list[IdentityReport]:
+    # draws its own one-color kernel; the trial's family is not used
     rng = random.Random(f"univariate:{cfg.seed}")
     kernel_coeffs = [rng.choice(cfg.coefficient_pool) for _ in range(cfg.order)]
     outer_coeffs = [rng.choice(cfg.coefficient_pool) for _ in range(cfg.order + 1)]
     return [_with_trial(univariate_lagrange_check(kernel_coeffs, outer_coeffs, cfg.order), trial)]
 
 
-_SUITES: dict[str, Callable[[SuiteConfig, int], list[IdentityReport]]] = {
+_SUITES: dict[
+    str, Callable[[SuiteConfig, int, KernelFamily], list[IdentityReport]]
+] = {
     "lagrange-good": _suite_lagrange_good,
     "magic": _suite_magic,
     "round-trip": _suite_round_trip,
@@ -313,7 +324,11 @@ SUITE_NAMES = tuple(_SUITES) + ("all",)
 
 
 def run_suite(name: str, cfg: SuiteConfig) -> list[IdentityReport]:
-    """Run one suite (or all of them) and return reports in trial order."""
+    """Run one suite (or all of them) and return reports in trial order.
+
+    Each trial draws one kernel family and hands it to every suite, so the
+    suites of a trial share its Fredholm determinant and tree sums.
+    """
     if name == "all":
         runners = list(_SUITES.values())
     elif name in _SUITES:
@@ -323,6 +338,7 @@ def run_suite(name: str, cfg: SuiteConfig) -> list[IdentityReport]:
     reports: list[IdentityReport] = []
     for trial in range(cfg.trials):
         trial_cfg = replace(cfg, seed=_trial_seed(cfg.seed, trial))
+        kernels = random_kernel_family(trial_cfg)
         for runner in runners:
-            reports.extend(runner(trial_cfg, trial))
+            reports.extend(runner(trial_cfg, trial, kernels))
     return reports

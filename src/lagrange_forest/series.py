@@ -12,12 +12,13 @@ measure-valued series store, per color, the coefficient table of the atom
 at that color, and usually also carry the density family they were lifted
 from.
 
-Every kernel is polynomial in the number of keys: a product sums over
-pairs of keys; the exponential splits off the block holding a key's first
-position, E[key] = sum_S weight(S) K[S] E[key - S]; univariate composition
-sums outer[m] K^m / m!; and composition with a measure sums
-g_J prod_q W_q^(J_q) / J_q! over g's keys J, W being the atoms of the
-substituted measure. No kernel enumerates set partitions.
+Every kernel is polynomial in the number of keys: a product convolves the
+monomial coefficients f[key] / prod_c n_c! in integers, over the pairs of
+keys whose sizes fit the order; the exponential splits off the block
+holding a key's first position, E[key] = sum_S weight(S) K[S] E[key - S];
+univariate composition sums outer[m] K^m / m!; and composition with a
+measure sums g_J prod_q W_q^(J_q) / J_q! over g's keys J, W being the atoms
+of the substituted measure. No kernel enumerates set partitions.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement, groupby, product
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import (
@@ -192,36 +193,66 @@ def scale(k: TruncatedSeries, factor: RationalLike) -> TruncatedSeries:
     )
 
 
-def _merge_multiplicity(key_a: Key, key_b: Key) -> int:
-    # number of position subsets of the merged key realizing key_a as a multiset
-    total = Counter(key_a) + Counter(key_b)
-    count_a = Counter(key_a)
-    mult = 1
-    for color, m in count_a.items():
-        mult *= comb(total[color], m)
-    return mult
+def _factorial_weight(key: Key) -> int:
+    # prod_c n_c! over the colors c of a canonical key
+    weight = 1
+    for _, run in groupby(key):
+        weight *= factorial(len(tuple(run)))
+    return weight
+
+
+def _monomial_rows(
+    table: dict[Key, Fraction], max_size: int
+) -> tuple[list[tuple[Key, int]], int]:
+    # Integer rows (key, m) and one denominator D with m / (D * max_size!) the
+    # monomial coefficient value / prod_c n_c!; rows are sorted by key size.
+    rows = sorted(
+        (item for item in table.items() if len(item[0]) <= max_size),
+        key=lambda item: len(item[0]),
+    )
+    den = lcm(*(value.denominator for _, value in rows))
+    top = factorial(max_size)
+    scaled = [
+        (key, value.numerator * (den // value.denominator) * (top // _factorial_weight(key)))
+        for key, value in rows
+    ]
+    return scaled, den
 
 
 def _product(
     a: dict[Key, Fraction], b: dict[Key, Fraction], max_size: int
 ) -> dict[Key, Fraction]:
-    out: dict[Key, Fraction] = {}
-    for key_a, va in a.items():
-        for key_b, vb in b.items():
-            if len(key_a) + len(key_b) > max_size:
-                continue
-            merged = canonical_key(key_a + key_b)
-            term = va * vb * _merge_multiplicity(key_a, key_b)
-            out[merged] = out.get(merged, Fraction(0)) + term
-    return out
+    # Convolution of monomial coefficients in integers: only the pairs whose
+    # sizes fit max_size are visited, and each sum is turned back into a
+    # symmetric-function value once.
+    rows_a, den_a = _monomial_rows(a, max_size)
+    rows_b, den_b = _monomial_rows(b, max_size)
+    sums: dict[Key, int] = {}
+    for key_a, na in rows_a:
+        room = max_size - len(key_a)
+        for key_b, nb in rows_b:
+            if len(key_b) > room:
+                break
+            merged = tuple(sorted(key_a + key_b))
+            sums[merged] = sums.get(merged, 0) + na * nb
+    den = den_a * den_b * factorial(max_size) ** 2
+    return {
+        key: Fraction(num * _factorial_weight(key), den)
+        for key, num in sums.items()
+        if num
+    }
 
 
 def multiply(k: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     """Product series: each coefficient is a sum over splits of its key.
 
     The coefficient at a tuple is the sum, over all subsets J of the tuple's
-    positions, of K at the J-part times G at the complement. Implemented by
-    accumulating support pairs with the matching binomial multiplicities.
+    positions, of K at the J-part times G at the complement. In monomial
+    coefficients (the value divided by prod_c n_c!, n_c counting color c in
+    the key) this is a plain convolution with no binomial multiplicities. It
+    is computed in integers: each table is scaled to one common denominator
+    and by order! / prod_c n_c!, only pairs of keys whose sizes fit the
+    order are visited, and each sum becomes a rational once.
     """
     _check_pair(k, g)
     return TruncatedSeries(k.colors, k.order, _product(k.table, g.table, k.order))

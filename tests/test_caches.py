@@ -6,6 +6,7 @@ import pkgutil
 import lagrange_forest
 from lagrange_forest import fredholm_determinant
 from lagrange_forest.cli import dump_document, main
+from lagrange_forest.harness import SuiteConfig, run_suite
 
 
 def test_invert_det_computes_one_determinant(tmp_path):
@@ -27,6 +28,14 @@ def test_invert_det_computes_one_determinant(tmp_path):
     keys = 2 + 3 + 4 + 5  # non-empty keys of size <= 4 over two colors
     assert info.misses == 1
     assert info.hits == keys - 1
+
+
+def test_verify_trial_computes_one_determinant():
+    # every suite of a trial receives the same family, so the four suites
+    # that read the determinant share one cache entry
+    fredholm_determinant.cache_clear()
+    run_suite("all", SuiteConfig(seed=3, colors=2, order=4, trials=2))
+    assert fredholm_determinant.cache_info().misses == 2
 
 
 def test_every_cache_is_bounded():

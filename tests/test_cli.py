@@ -56,10 +56,16 @@ def test_invert_cayley_values(tmp_path):
     assert result["all_equal"] is True
 
 
-def test_invert_single_entry_kernel_at_order_twelve(tmp_path):
+@pytest.mark.parametrize(
+    "c",
+    [
+        pytest.param(Fraction(-1, 2), id="minus-half"),
+        pytest.param(Fraction(-(2**61 - 1), 3**20), id="wide-numerator-and-denominator"),
+    ],
+)
+def test_invert_single_entry_kernel_at_order_twelve(tmp_path, c):
     # kernel c*z: the inverse of z*exp(-c*z) has coefficients c^(n-1) n^(n-1);
     # a partition-sum exponential would visit Bell(12) partitions per key
-    c = Fraction(-1, 2)
     doc = cayley_doc(order=12)
     doc["kernels"][0]["entries"][0]["value"] = str(c)
     out = tmp_path / "result.json"
@@ -158,6 +164,17 @@ def _mutated(path, value):
         pytest.param(_mutated(["kernels", 0, "entries", 0, "q"], ["a"]), 3, id="q-list"),
         pytest.param(_mutated(["kernels", 0, "entries", 0, "x"], [["a"]]), 3, id="x-nested-list"),
         pytest.param(_mutated(["B"], [["a"]]), 3, id="B-nested-list"),
+        pytest.param(_mutated(["kernels", 0, "entries", 0, "value"], "1.5"), 2, id="value-decimal"),
+        pytest.param(
+            _mutated(["kernels", 0, "entries", 0, "value"], "1e100000000"), 2, id="value-exponent"
+        ),
+        pytest.param(_mutated(["kernels", 0, "entries", 0, "value"], " 1/2"), 2, id="value-space"),
+        pytest.param(_mutated(["kernels", 0, "entries", 0, "value"], "1_0"), 2, id="value-underscore"),
+        pytest.param(
+            _mutated(["phi"], [{"n": 1, "entries": [{"x": ["a"], "value": "1.5"}]}]),
+            2,
+            id="phi-value-decimal",
+        ),
         pytest.param(b'{"colors": ["\xff"], "order": 1, "kernels": []}', 2, id="not-utf8"),
         pytest.param(b'{"order": ' + b"1" * 5000 + b"}", 2, id="integer-over-digit-limit"),
         pytest.param(b"[" * 100_000 + b"]" * 100_000, 2, id="nesting-over-recursion-limit"),

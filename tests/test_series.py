@@ -590,6 +590,38 @@ def random_dense_series(d: int, order: int, seed: str, constant: bool = True):
     return series_from(colors, order, table)
 
 
+# mixed denominators, a zero, and one value above 2**64
+PRODUCT_POOL = (
+    Fraction(1, 3),
+    Fraction(-2, 7),
+    Fraction(5, 12),
+    Fraction(0),
+    Fraction(5 * 2**64 + 1, 3),
+)
+
+
+@pytest.mark.parametrize("d,order", ORACLE_GRID)
+def test_multiply_matches_subset_sum_oracle_on_mixed_denominators(d, order):
+    rng = random.Random(f"mul:{d}")
+    colors = ColorSet(tuple("abc"[:d]))
+    k, g = (
+        series_from(
+            colors, order, {key: rng.choice(PRODUCT_POOL) for key in all_keys(colors, order)}
+        )
+        for _ in range(2)
+    )
+    # exp(K) exp(-K) = 1: every key but the empty one cancels to zero
+    exp_k = exponential(series_from(colors, order, {key: v for key, v in k.table.items() if key}))
+    exp_minus_k = exponential(
+        series_from(colors, order, {key: -v for key, v in k.table.items() if key})
+    )
+    for left, right in [(k, g), (g, k), (exp_k, exp_minus_k)]:
+        product = multiply(left, right)
+        for key in all_keys(colors, order):
+            assert product.coefficient(key) == product_oracle(left, right, key), key
+    assert multiply(exp_k, exp_minus_k) == constant_series(colors, order, 1)
+
+
 @pytest.mark.parametrize("d,order", ORACLE_GRID)
 def test_exponential_matches_partition_oracle(d, order):
     k = random_dense_series(d, order, f"exp:{d}", constant=False)
