@@ -5,22 +5,17 @@ exp(-kernel)" in two independent ways, through a tree-generating fixed
 point and through a truncated Fredholm determinant formula, and verifies
 their agreement plus the underlying cancellation identities by brute-force
 enumeration of enriched maps, trees, and crowns.
+
+``__all__`` is the public surface: the names the README documents, the
+enumeration and suite entry points, and the error classes. Everything else
+is importable from its submodule.
 """
 
 from .combinat import (
     EnrichedMap,
-    StructureClass,
-    classify,
-    connected_components,
-    det_coefficient_via_crowns,
     enumerate_crowns,
     enumerate_enriched_maps,
-    enumerate_rooted_trees,
-    exp_coefficient_via_maps,
-    forest_coefficient,
-    map_weight,
     set_partitions,
-    set_partitions_of,
     tree_coefficient,
 )
 from .errors import (
@@ -37,45 +32,25 @@ from .errors import (
     UnknownColor,
     UnknownSuite,
 )
-from .harness import SuiteConfig, random_kernel_family, random_series, run_suite
+from .harness import SuiteConfig, run_suite
 from .inversion import (
-    TreeSolution,
-    finite_matrix_determinant,
-    forward_measure,
     fredholm_determinant,
-    identity_measure,
     inverse_via_determinant,
-    lagrange_good_coefficient,
-    magic_sum,
-    round_trip_check,
     solve_tree_fixed_point,
-    univariate_lagrange_check,
 )
-from .reports import IdentityReport, Witness
-from .series import (
-    ColorSet,
-    FamilySeries,
-    KernelFamily,
-    MeasureSeries,
-    TruncatedSeries,
-    add,
-    all_keys,
-    canonical_key,
-    compose_family,
-    compose_measure,
-    compose_univariate,
-    constant_series,
-    exponential,
-    indicator_series,
-    integrate,
-    make_kernel_family,
-    make_series,
-    multiply,
-    radon_lift,
-    restrict,
-    scale,
-    variational_derivative,
-    zero_series,
-)
+from .series import ColorSet, make_kernel_family
+
+__all__ = [
+    # the README's library sketch
+    "ColorSet", "make_kernel_family", "solve_tree_fixed_point",
+    "fredholm_determinant", "inverse_via_determinant",
+    # enumeration and verification entry points
+    "EnrichedMap", "enumerate_crowns", "enumerate_enriched_maps", "set_partitions",
+    "tree_coefficient", "SuiteConfig", "run_suite",
+    # errors
+    "LagrangeForestError", "UnknownColor", "DuplicateKey", "KeyTooLarge",
+    "OrderMismatch", "ColorSetMismatch", "NonzeroConstantTerm", "TooManyPins",
+    "BlockTooLarge", "EmptySubset", "SizeCapExceeded", "UnknownSuite",
+]
 
 __version__ = "0.1.0"

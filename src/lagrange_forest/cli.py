@@ -29,7 +29,6 @@ from .harness import SUITE_NAMES, SuiteConfig, run_suite
 from .inversion import inverse_via_determinant, solve_tree_fixed_point
 from .series import ColorSet, all_keys, make_kernel_family
 
-MAX_CLI_VERTICES = 9
 # ASCII digits only: Fraction would also take decimals, exponents, spaces,
 # underscores and non-ASCII digits, and "1e100000000" takes unbounded time
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
@@ -45,12 +44,11 @@ class DocumentInvariantError(Exception):
 
 @dataclass(frozen=True)
 class ProblemDocument:
-    """Parsed problem description: colors, order, kernel entries, options."""
+    """Parsed problem description: colors, order, kernel entries, subset."""
 
     colors: tuple[str, ...]
     order: int
     kernel_entries: tuple[tuple[str, tuple[str, ...], Fraction], ...]
-    phi_entries: tuple[tuple[tuple[str, ...], Fraction], ...] | None
     subset: tuple[str, ...] | None
 
 
@@ -162,39 +160,6 @@ def load_problem_document(path: str) -> ProblemDocument:
             seen_kernel.add(key)
             kernel_entries.append((q, tuple(xs), value))
 
-    phi_entries = None
-    if "phi" in raw and raw["phi"] is not None:
-        phi_entries = []
-        seen_phi = set()
-        for group_index, group in enumerate(_require_list(raw["phi"], f"{path}: phi")):
-            where = f"phi[{group_index}]"
-            if not isinstance(group, dict) or "n" not in group or "entries" not in group:
-                raise DocumentParseError(f"{path}: {where}: needs fields 'n' and 'entries'")
-            n = group["n"]
-            if not _is_int(n) or n < 0:
-                raise DocumentInvariantError(
-                    f"{path}: {where}: series size must be an integer >= 0"
-                )
-            for entry_index, entry in enumerate(
-                _require_list(group["entries"], f"{path}: {where}.entries")
-            ):
-                spot = f"{where}.entries[{entry_index}]"
-                if not isinstance(entry, dict) or not {"x", "value"} <= set(entry):
-                    raise DocumentParseError(f"{path}: {spot}: needs fields 'x' and 'value'")
-                xs = entry["x"]
-                if not isinstance(xs, list) or len(xs) != n:
-                    raise DocumentInvariantError(
-                        f"{path}: {spot}: x must list exactly {n} labels"
-                    )
-                check_labels(xs, spot)
-                value = _parse_rational(entry["value"], text, path)
-                key = tuple(sorted(xs))
-                if key in seen_phi:
-                    raise DocumentInvariantError(f"{path}: {spot}: duplicate series entry")
-                seen_phi.add(key)
-                phi_entries.append((tuple(xs), value))
-        phi_entries = tuple(phi_entries)
-
     subset = None
     if "B" in raw and raw["B"] is not None:
         if not isinstance(raw["B"], list):
@@ -202,9 +167,7 @@ def load_problem_document(path: str) -> ProblemDocument:
         check_labels(raw["B"], "B")
         subset = tuple(dict.fromkeys(raw["B"]))
 
-    return ProblemDocument(
-        tuple(colors), order, tuple(kernel_entries), phi_entries, subset
-    )
+    return ProblemDocument(tuple(colors), order, tuple(kernel_entries), subset)
 
 
 def dump_document(payload: object) -> str:
@@ -296,12 +259,17 @@ def cmd_verify(suite: str, seed: int, d: int, order: int, trials: int) -> int:
     by_identity: dict[str, list] = {}
     for report in reports:
         by_identity.setdefault(report.identity, []).append(report)
+    reproduce = (
+        f"reproduce: lagrange-forest verify {suite} --seed {seed} --d {d}"
+        f" --N {order} --trials {trials}"
+    )
     all_ok = True
     for identity, group in by_identity.items():
         failures = [r for r in group if not r.passed]
         if failures:
             all_ok = False
             print(f"FAIL {identity}: {failures[0].describe()}")
+            print(reproduce)
         else:
             print(f"PASS {identity} ({len(group)} trials)")
     return 0 if all_ok else 1
@@ -313,8 +281,6 @@ def cmd_enumerate(structure: str, n: int, sinks: int, do_list: bool) -> int:
         return 2
     try:
         if structure == "partitions":
-            if n > MAX_CLI_VERTICES:
-                raise SizeCapExceeded(f"partitions of {n} elements exceed the cap")
             items = set_partitions(n)
             renders = [
                 " ".join("{" + ",".join(map(str, block)) + "}" for block in p) or "{}"
@@ -324,16 +290,14 @@ def cmd_enumerate(structure: str, n: int, sinks: int, do_list: bool) -> int:
             domain = range(1, n + 1)
             if structure == "maps":
                 sink_labels = [-i for i in range(sinks)]
-                items = enumerate_enriched_maps(
-                    domain, sink_labels, size_cap=MAX_CLI_VERTICES
-                )
+                items = enumerate_enriched_maps(domain, sink_labels)
             elif structure == "trees":
-                items = enumerate_rooted_trees(domain, sink=0, size_cap=MAX_CLI_VERTICES)
+                items = enumerate_rooted_trees(domain, sink=0)
             else:  # crowns
                 if n < 1:
                     print("error: crowns need at least one vertex", file=sys.stderr)
                     return 2
-                items = enumerate_crowns(domain, size_cap=MAX_CLI_VERTICES)
+                items = enumerate_crowns(domain)
             renders = [m.render() for m in items]
     except SizeCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

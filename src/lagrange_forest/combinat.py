@@ -12,7 +12,6 @@ partitions (restricted-growth order per fiber).
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -24,11 +23,19 @@ from .errors import BlockTooLarge, SizeCapExceeded
 if TYPE_CHECKING:
     from .series import KernelFamily
 
-#: Default refusal threshold for ``len(V) + len(S)``; the number of enriched
-#: maps grows super-exponentially with the vertex count.
-MAX_ENUMERATION = 9
+#: Most vertices (domain plus sinks) or elements an enumeration accepts. The
+#: number of enriched maps grows super-exponentially with the vertex count:
+#: 268,098 on six vertices, 6,593,839 on seven.
+MAX_ENUMERATION = 6
 
 Coloring = Mapping[int, str]
+
+
+def _check_cap(size: int) -> None:
+    if size > MAX_ENUMERATION:
+        raise SizeCapExceeded(
+            f"enumeration over {size} vertices exceeds the cap of {MAX_ENUMERATION}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -65,21 +72,18 @@ def set_partitions_of(items: Iterable) -> list[tuple[tuple, ...]]:
 
 
 def set_partitions(n: int) -> list[tuple[tuple[int, ...], ...]]:
-    """All set partitions of ``{1, ..., n}``; the count is the Bell number."""
+    """All set partitions of ``{1, ..., n}``; the count is the Bell number.
+
+    Raises :class:`SizeCapExceeded` when ``n`` is above ``MAX_ENUMERATION``.
+    """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
+    _check_cap(n)
     return set_partitions_of(range(1, n + 1))
 
 
 # ---------------------------------------------------------------------------
 # enriched maps
-
-
-class StructureClass(enum.Enum):
-    VERTEX_ROOTED_TREE = "vertex-rooted-tree"
-    CYCLE_ROOTED_TREE = "cycle-rooted-tree"
-    CROWN = "crown"
-    GENERAL_MAP = "general-map"
 
 
 @dataclass(frozen=True)
@@ -105,12 +109,6 @@ class EnrichedMap:
     def mapping(self) -> dict[int, int]:
         return dict(zip(self.domain, self.targets))
 
-    def fiber_partition(self, v: int) -> tuple[tuple[int, ...], ...]:
-        for vertex, parts in self.blocks:
-            if vertex == v:
-                return parts
-        return ()
-
     def render(self) -> str:
         """Canonical single-line description, used by the CLI listings."""
         if self.domain:
@@ -122,13 +120,6 @@ class EnrichedMap:
             for v, p in self.blocks
         )
         return f"{arrows} ; {parts}" if parts else arrows
-
-
-def _check_cap(size: int, size_cap: int) -> None:
-    if size > size_cap:
-        raise SizeCapExceeded(
-            f"enumeration over {size} vertices exceeds the cap of {size_cap}"
-        )
 
 
 @lru_cache(maxsize=256)
@@ -148,17 +139,12 @@ def _enriched_maps(domain: tuple[int, ...], sinks: tuple[int, ...]) -> tuple[Enr
     return tuple(out)
 
 
-def enumerate_enriched_maps(
-    domain: Iterable[int],
-    sinks: Iterable[int] = (),
-    *,
-    size_cap: int = MAX_ENUMERATION,
-) -> list[EnrichedMap]:
+def enumerate_enriched_maps(domain: Iterable[int], sinks: Iterable[int] = ()) -> list[EnrichedMap]:
     """All enriched maps with the given domain and sink set.
 
     Returns the empty list for an empty domain. Raises
     :class:`SizeCapExceeded` when ``len(domain) + len(sinks)`` is above
-    ``size_cap``.
+    ``MAX_ENUMERATION``.
     """
     dom = tuple(sorted(set(domain)))
     snk = tuple(sorted(set(sinks)))
@@ -166,133 +152,8 @@ def enumerate_enriched_maps(
         raise ValueError("domain and sinks must be disjoint")
     if not dom:
         return []
-    _check_cap(len(dom) + len(snk), size_cap)
+    _check_cap(len(dom) + len(snk))
     return list(_enriched_maps(dom, snk))
-
-
-# ---------------------------------------------------------------------------
-# structure classification
-
-
-def _cycle_vertices(m: EnrichedMap) -> set[int]:
-    f = m.mapping
-    on_cycle: set[int] = set()
-    for start in m.domain:
-        cur = start
-        for _ in range(len(m.domain)):
-            if cur not in f:  # reached a sink
-                break
-            cur = f[cur]
-            if cur == start:
-                on_cycle.add(start)
-                break
-    return on_cycle
-
-
-def _cycle_count(m: EnrichedMap) -> int:
-    f = m.mapping
-    remaining = _cycle_vertices(m)
-    count = 0
-    while remaining:
-        count += 1
-        cur = min(remaining)
-        while cur in remaining:
-            remaining.discard(cur)
-            cur = f[cur]
-    return count
-
-
-def _is_connected(m: EnrichedMap) -> bool:
-    vertices = m.vertices
-    if not vertices:
-        return True
-    neighbours: dict[int, set[int]] = {v: set() for v in vertices}
-    for v, t in zip(m.domain, m.targets):
-        neighbours[v].add(t)
-        neighbours[t].add(v)
-    seen = {vertices[0]}
-    frontier = [vertices[0]]
-    while frontier:
-        nxt = frontier.pop()
-        for w in neighbours[nxt]:
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return len(seen) == len(vertices)
-
-
-def is_vertex_rooted_tree(m: EnrichedMap) -> bool:
-    """Connected, acyclic, with the unique sink as root."""
-    return len(m.sinks) == 1 and _is_connected(m) and not _cycle_vertices(m)
-
-
-def is_cycle_rooted_tree(m: EnrichedMap) -> bool:
-    """Connected with exactly one cycle; such a graph has no sinks."""
-    return not m.sinks and _is_connected(m) and _cycle_count(m) == 1
-
-
-def is_crown(m: EnrichedMap) -> bool:
-    """Image is a single cycle and every base fiber carries one block."""
-    if m.sinks or not m.domain:
-        return False
-    base = set(m.targets)
-    f = m.mapping
-    start = min(base)
-    cur = start
-    seen = set()
-    for _ in range(len(base)):
-        seen.add(cur)
-        cur = f[cur]
-    if cur != start or seen != base:
-        return False
-    return all(len(m.fiber_partition(r)) == 1 for r in base)
-
-
-def classify(m: EnrichedMap) -> StructureClass:
-    """Structure class of the underlying functional digraph.
-
-    Crowns are reported as :attr:`StructureClass.CROWN` even though every
-    crown is also a cycle-rooted tree.
-    """
-    if is_crown(m):
-        return StructureClass.CROWN
-    if is_cycle_rooted_tree(m):
-        return StructureClass.CYCLE_ROOTED_TREE
-    if is_vertex_rooted_tree(m):
-        return StructureClass.VERTEX_ROOTED_TREE
-    return StructureClass.GENERAL_MAP
-
-
-def connected_components(m: EnrichedMap) -> list[EnrichedMap]:
-    """Split an enriched map into its weakly connected components."""
-    vertices = m.vertices
-    neighbours: dict[int, set[int]] = {v: set() for v in vertices}
-    for v, t in zip(m.domain, m.targets):
-        neighbours[v].add(t)
-        neighbours[t].add(v)
-    unvisited = set(vertices)
-    components = []
-    while unvisited:
-        seed = min(unvisited)
-        comp = {seed}
-        frontier = [seed]
-        while frontier:
-            for w in neighbours[frontier.pop()]:
-                if w not in comp:
-                    comp.add(w)
-                    frontier.append(w)
-        unvisited -= comp
-        f = m.mapping
-        dom = tuple(v for v in m.domain if v in comp)
-        components.append(
-            EnrichedMap(
-                dom,
-                tuple(s for s in m.sinks if s in comp),
-                tuple(f[v] for v in dom),
-                tuple((v, p) for v, p in m.blocks if v in comp),
-            )
-        )
-    return components
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +187,26 @@ def map_weight(m: EnrichedMap, coloring: Coloring, kernels: "KernelFamily") -> F
 # rooted trees
 
 
+def _cycle_vertices(m: EnrichedMap) -> set[int]:
+    f = m.mapping
+    on_cycle: set[int] = set()
+    for start in m.domain:
+        cur = start
+        for _ in range(len(m.domain)):
+            if cur not in f:  # reached a sink
+                break
+            cur = f[cur]
+            if cur == start:
+                on_cycle.add(start)
+                break
+    return on_cycle
+
+
+def is_vertex_rooted_tree(m: EnrichedMap) -> bool:
+    """Acyclic with a unique sink, the root; every path then ends there."""
+    return len(m.sinks) == 1 and not _cycle_vertices(m)
+
+
 @lru_cache(maxsize=256)
 def _rooted_trees(domain: tuple[int, ...], sink: int) -> tuple[EnrichedMap, ...]:
     return tuple(
@@ -333,16 +214,14 @@ def _rooted_trees(domain: tuple[int, ...], sink: int) -> tuple[EnrichedMap, ...]
     )
 
 
-def enumerate_rooted_trees(
-    domain: Iterable[int], sink: int = 0, *, size_cap: int = MAX_ENUMERATION
-) -> list[EnrichedMap]:
+def enumerate_rooted_trees(domain: Iterable[int], sink: int = 0) -> list[EnrichedMap]:
     """All enriched maps on ``domain`` plus one sink that are vertex-rooted trees."""
     dom = tuple(sorted(set(domain)))
     if sink in dom:
         raise ValueError("sink must not belong to the domain")
     if not dom:
         return []
-    _check_cap(len(dom) + 1, size_cap)
+    _check_cap(len(dom) + 1)
     return list(_rooted_trees(dom, sink))
 
 
@@ -351,8 +230,6 @@ def tree_coefficient(
     root_color: str,
     leaf_colors: Sequence[str],
     kernels: "KernelFamily",
-    *,
-    size_cap: int = MAX_ENUMERATION,
 ) -> Fraction:
     """Sum of weights over all enriched rooted trees on ``n`` labelled vertices.
 
@@ -367,7 +244,7 @@ def tree_coefficient(
         raise ValueError(f"n={n} exceeds the kernel family's order {kernels.order}")
     if n == 0:
         return Fraction(1)
-    _check_cap(n + 1, size_cap)
+    _check_cap(n + 1)
     return _tree_sum(root_color, tuple(sorted(leaf_colors)), kernels)
 
 
@@ -412,9 +289,7 @@ def _crowns(domain: tuple[int, ...]) -> tuple[EnrichedMap, ...]:
     return tuple(out)
 
 
-def enumerate_crowns(
-    domain: Iterable[int], *, size_cap: int = MAX_ENUMERATION
-) -> list[EnrichedMap]:
+def enumerate_crowns(domain: Iterable[int]) -> list[EnrichedMap]:
     """All crowns on ``domain``: a base cycle with vertices hanging off it.
 
     Every vertex maps into the base, the base is a single cycle, and each
@@ -424,7 +299,7 @@ def enumerate_crowns(
     dom = tuple(sorted(set(domain)))
     if not dom:
         raise ValueError("crowns need a non-empty vertex set")
-    _check_cap(len(dom), size_cap)
+    _check_cap(len(dom))
     return list(_crowns(dom))
 
 
@@ -436,8 +311,6 @@ def exp_coefficient_via_maps(
     q_tuple: Sequence[str],
     picked: Iterable[int],
     kernels: "KernelFamily",
-    *,
-    size_cap: int = MAX_ENUMERATION,
 ) -> Fraction:
     """Coefficient of the pinned exponential, summed over enriched maps.
 
@@ -452,7 +325,7 @@ def exp_coefficient_via_maps(
         raise ValueError("picked positions must lie in 1..n")
     if not chosen:
         return Fraction(1)
-    _check_cap(n, size_cap)
+    _check_cap(n)
     sinks = tuple(i for i in range(1, n + 1) if i not in chosen)
     coloring = {i: q_tuple[i - 1] for i in range(1, n + 1)}
     total = Fraction(0)
@@ -461,12 +334,7 @@ def exp_coefficient_via_maps(
     return total
 
 
-def det_coefficient_via_crowns(
-    q_tuple: Sequence[str],
-    kernels: "KernelFamily",
-    *,
-    size_cap: int = MAX_ENUMERATION,
-) -> Fraction:
+def det_coefficient_via_crowns(q_tuple: Sequence[str], kernels: "KernelFamily") -> Fraction:
     """Determinant coefficient as a signed sum over assemblies of crowns.
 
     Partitions the positions 1..k into groups, places a crown on each group,
@@ -475,7 +343,7 @@ def det_coefficient_via_crowns(
     k = len(q_tuple)
     if k < 1:
         raise ValueError("need at least one pinned color")
-    _check_cap(k, size_cap)
+    _check_cap(k)
     coloring = {i: q_tuple[i - 1] for i in range(1, k + 1)}
     total = Fraction(0)
     for partition in set_partitions_of(range(1, k + 1)):
@@ -495,8 +363,6 @@ def forest_coefficient(
     q_tuple: Sequence[str],
     roots: Iterable[int],
     kernels: "KernelFamily",
-    *,
-    size_cap: int = MAX_ENUMERATION,
 ) -> Fraction:
     """Sum over forests of rooted trees with the given root positions.
 
@@ -525,7 +391,6 @@ def forest_coefficient(
                 q_tuple[root - 1],
                 tuple(q_tuple[p - 1] for p in members),
                 kernels,
-                size_cap=size_cap,
             )
             if not term:
                 break

@@ -39,7 +39,8 @@ from .series import (
     make_series,
 )
 
-DEFAULT_POOL = (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(-1))
+#: The rationals every random coefficient is drawn from.
+POOL = (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(-1))
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,6 @@ class SuiteConfig:
     colors: int = 2
     order: int = 4
     trials: int = 3
-    coefficient_pool: tuple[Fraction, ...] = DEFAULT_POOL
     max_tuple: int = 4
 
     def __post_init__(self) -> None:
@@ -64,13 +64,6 @@ class SuiteConfig:
             raise ValueError("need at least one trial")
         if self.max_tuple < 1:
             raise ValueError("max_tuple must be at least one")
-        if not self.coefficient_pool:
-            raise ValueError("the coefficient pool must not be empty")
-        object.__setattr__(
-            self,
-            "coefficient_pool",
-            tuple(Fraction(v) for v in self.coefficient_pool),
-        )
 
     @property
     def color_names(self) -> tuple[str, ...]:
@@ -90,7 +83,7 @@ def random_kernel_family(cfg: SuiteConfig) -> KernelFamily:
     for q in names:
         for size in range(1, cfg.order + 1):
             for key in combinations_with_replacement(names, size):
-                value = rng.choice(cfg.coefficient_pool)
+                value = rng.choice(POOL)
                 if value:
                     entries.append((q, key, value))
     return make_kernel_family(colors, cfg.order, entries)
@@ -102,7 +95,7 @@ def random_series(cfg: SuiteConfig, label: str = "phi") -> TruncatedSeries:
     colors = ColorSet(cfg.color_names)
     entries = []
     for key in all_keys(colors, cfg.order):
-        value = rng.choice(cfg.coefficient_pool)
+        value = rng.choice(POOL)
         if value:
             entries.append((key, value))
     return make_series(colors, cfg.order, entries)
@@ -304,8 +297,8 @@ def _suite_univariate(
 ) -> list[IdentityReport]:
     # draws its own one-color kernel; the trial's family is not used
     rng = random.Random(f"univariate:{cfg.seed}")
-    kernel_coeffs = [rng.choice(cfg.coefficient_pool) for _ in range(cfg.order)]
-    outer_coeffs = [rng.choice(cfg.coefficient_pool) for _ in range(cfg.order + 1)]
+    kernel_coeffs = [rng.choice(POOL) for _ in range(cfg.order)]
+    outer_coeffs = [rng.choice(POOL) for _ in range(cfg.order + 1)]
     return [_with_trial(univariate_lagrange_check(kernel_coeffs, outer_coeffs, cfg.order), trial)]
 
 

@@ -16,9 +16,9 @@ Every kernel is polynomial in the number of keys: a product convolves the
 monomial coefficients f[key] / prod_c n_c! in integers, over the pairs of
 keys whose sizes fit the order; the exponential splits off the block
 holding a key's first position, E[key] = sum_S weight(S) K[S] E[key - S];
-univariate composition sums outer[m] K^m / m!; and composition with a
-measure sums g_J prod_q W_q^(J_q) / J_q! over g's keys J, W being the atoms
-of the substituted measure. No kernel enumerates set partitions.
+and composition with a measure sums g_J prod_q W_q^(J_q) / J_q! over g's
+keys J, W being the atoms of the substituted measure. No kernel enumerates
+set partitions.
 """
 
 from __future__ import annotations
@@ -303,33 +303,6 @@ def exponential(k: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(k.colors, k.order, out)
 
 
-def compose_univariate(
-    outer: Sequence[RationalLike], k: TruncatedSeries
-) -> TruncatedSeries:
-    """Substitute ``k`` into a single-variable series.
-
-    ``outer`` lists the coefficients of the outer series in the exponential
-    convention (the m-th entry is m! times the monomial coefficient). The
-    result's coefficient at a tuple sums, over set partitions of the tuple's
-    positions, the outer coefficient at the block count times the product of
-    K over the blocks. It is computed as sum_m outer[m] K^m / m!, with the
-    powers built by :func:`multiply`; K^m has no coefficient below size m,
-    so the sum stops at the order. With all outer coefficients equal to one
-    this reduces to :func:`exponential`.
-    """
-    if k.f0:
-        raise NonzeroConstantTerm("composition needs a vanishing constant term")
-    coeffs = [Fraction(x) for x in outer[: k.order + 1]]
-    total = zero_series(k.colors, k.order)
-    power = constant_series(k.colors, k.order, 1)
-    for m, coeff in enumerate(coeffs):
-        if m:
-            power = multiply(power, k)
-        if coeff:
-            total = add(total, scale(power, coeff / factorial(m)))
-    return total
-
-
 def variational_derivative(k: TruncatedSeries, pins: Sequence[str]) -> TruncatedSeries:
     """Pin colors: the result's coefficient at x is K's coefficient at pins + x.
 
@@ -353,16 +326,6 @@ def variational_derivative(k: TruncatedSeries, pins: Sequence[str]) -> Truncated
         if len(rest) <= new_order:
             out[rest] = value
     return TruncatedSeries(k.colors, new_order, out)
-
-
-def restrict(k: TruncatedSeries, subset: Iterable[str]) -> TruncatedSeries:
-    """Zero out every coefficient whose key uses a color outside ``subset``."""
-    labels = set(subset)
-    k.colors.require(labels)
-    table = {
-        key: value for key, value in k.table.items() if set(key) <= labels
-    }
-    return TruncatedSeries(k.colors, k.order, table)
 
 
 # ---------------------------------------------------------------------------
@@ -396,10 +359,6 @@ class FamilySeries:
             {name: constant_series(colors, order, value) for name in colors.names},
         )
 
-    def member(self, q: str) -> TruncatedSeries:
-        self.colors.require((q,))
-        return self.members[q]
-
 
 @dataclass(frozen=True)
 class MeasureSeries:
@@ -423,10 +382,6 @@ class MeasureSeries:
             if member.colors != self.colors or member.order != self.order:
                 raise ValueError("inconsistent atom table")
 
-    def member(self, q: str) -> TruncatedSeries:
-        self.colors.require((q,))
-        return self.members[q]
-
     def evaluate(self, subset: Iterable[str] | None = None) -> TruncatedSeries:
         """Sum of the atoms over a color subset (the whole set by default)."""
         labels = tuple(self.colors.names) if subset is None else tuple(subset)
@@ -437,22 +392,13 @@ class MeasureSeries:
         return total
 
 
-def integrate(family: FamilySeries) -> TruncatedSeries:
-    """Integrate a function-valued series against the base measure.
-
-    The n-th coefficient sums the family member pinned at each position of
-    the key over the remaining positions; the constant term is zero. This
-    is the total mass of :func:`radon_lift`.
-    """
-    return radon_lift(family).evaluate()
-
-
 def radon_lift(family: FamilySeries) -> MeasureSeries:
     """Multiply a function-valued series by the base measure.
 
     The atom at q collects, from each key containing q, the family member at
     q evaluated with one copy of q removed, weighted by the multiplicity of
-    q in the key. Summed over all colors this reproduces :func:`integrate`.
+    q in the key. Its total mass, ``radon_lift(family).evaluate()``, is the
+    integral of the family against the base measure.
     """
     members: dict[str, TruncatedSeries] = {}
     for q in family.colors.names:

@@ -12,7 +12,8 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-from lagrange_forest import ColorSet, TruncatedSeries, all_keys
+from lagrange_forest.combinat import EnrichedMap
+from lagrange_forest.series import ColorSet, TruncatedSeries, all_keys
 
 POOL = (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(2))
 
@@ -98,17 +99,14 @@ def _partitions(items: tuple):
             yield [*partition[:i], (head, *block), *partition[i + 1 :]]
 
 
-def exponential_oracle(k: TruncatedSeries, key: tuple, outer=None) -> Fraction:
-    """Coefficient of outer(K) at key: a sum over set partitions of its positions.
+def exponential_oracle(k: TruncatedSeries, key: tuple) -> Fraction:
+    """Coefficient of exp(K) at key: a sum over set partitions of its positions.
 
-    Each partition contributes the outer coefficient at its block count
-    (one for the exponential, the default) times K at every block.
+    Each partition contributes the product of K over its blocks.
     """
-    weights = [1] * (len(key) + 1) if outer is None else list(outer)
-    weights += [0] * (len(key) + 1 - len(weights))
     total = Fraction(0)
     for partition in _partitions(tuple(range(len(key)))):
-        term = Fraction(weights[len(partition)])
+        term = Fraction(1)
         for block in partition:
             term *= k.coefficient(tuple(key[p] for p in block))
         total += term
@@ -185,3 +183,61 @@ def fredholm_oracle(kernels, key: tuple) -> Fraction:
                     minor += term
             total += (-1) ** r * minor
     return total
+
+
+def connected_components(m: EnrichedMap) -> list[EnrichedMap]:
+    """Split an enriched map into its weakly connected components."""
+    neighbours = {v: set() for v in m.vertices}
+    for v, t in zip(m.domain, m.targets):
+        neighbours[v].add(t)
+        neighbours[t].add(v)
+    unvisited = set(m.vertices)
+    components = []
+    while unvisited:
+        component = {min(unvisited)}
+        frontier = list(component)
+        while frontier:
+            for w in neighbours[frontier.pop()]:
+                if w not in component:
+                    component.add(w)
+                    frontier.append(w)
+        unvisited -= component
+        domain = tuple(v for v in m.domain if v in component)
+        components.append(
+            EnrichedMap(
+                domain,
+                tuple(s for s in m.sinks if s in component),
+                tuple(m.mapping[v] for v in domain),
+                tuple((v, p) for v, p in m.blocks if v in component),
+            )
+        )
+    return components
+
+
+def _cycles(m: EnrichedMap) -> list[frozenset]:
+    """The cycles of the map's functional digraph, each as a vertex set."""
+    f = m.mapping
+    cycles = set()
+    for start in m.domain:
+        path = [start]
+        while path[-1] in f and f[path[-1]] not in path:
+            path.append(f[path[-1]])
+        if path[-1] in f:  # the walk closed a cycle at f[path[-1]]
+            cycles.add(frozenset(path[path.index(f[path[-1]]) :]))
+    return list(cycles)
+
+
+def is_cycle_rooted_tree(m: EnrichedMap) -> bool:
+    """Connected with exactly one cycle; such a graph has no sinks."""
+    return not m.sinks and len(connected_components(m)) == 1 and len(_cycles(m)) == 1
+
+
+def is_crown(m: EnrichedMap) -> bool:
+    """Image is a single cycle and every base fiber carries one block."""
+    base = set(m.targets)
+    return (
+        not m.sinks
+        and bool(m.domain)
+        and _cycles(m) == [frozenset(base)]
+        and all(len(parts) == 1 for _, parts in m.blocks)
+    )

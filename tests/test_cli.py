@@ -4,6 +4,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lagrange_forest.cli import dump_document, main
 
@@ -158,9 +160,6 @@ def _mutated(path, value):
         pytest.param(_mutated(["kernels", 0, "n"], True), 3, id="n-bool"),
         pytest.param(_mutated(["kernels", 0, "entries", 0, "value"], True), 2, id="value-bool"),
         pytest.param(_mutated(["kernels", 0, "entries"], 5), 2, id="entries-not-list"),
-        pytest.param(_mutated(["phi"], 5), 2, id="phi-not-list"),
-        pytest.param(_mutated(["phi"], [{"n": 1, "entries": 7}]), 2, id="phi-entries-not-list"),
-        pytest.param(_mutated(["phi"], [{"n": True, "entries": []}]), 3, id="phi-n-bool"),
         pytest.param(_mutated(["kernels", 0, "entries", 0, "q"], ["a"]), 3, id="q-list"),
         pytest.param(_mutated(["kernels", 0, "entries", 0, "x"], [["a"]]), 3, id="x-nested-list"),
         pytest.param(_mutated(["B"], [["a"]]), 3, id="B-nested-list"),
@@ -170,11 +169,6 @@ def _mutated(path, value):
         ),
         pytest.param(_mutated(["kernels", 0, "entries", 0, "value"], " 1/2"), 2, id="value-space"),
         pytest.param(_mutated(["kernels", 0, "entries", 0, "value"], "1_0"), 2, id="value-underscore"),
-        pytest.param(
-            _mutated(["phi"], [{"n": 1, "entries": [{"x": ["a"], "value": "1.5"}]}]),
-            2,
-            id="phi-value-decimal",
-        ),
         pytest.param(b'{"colors": ["\xff"], "order": 1, "kernels": []}', 2, id="not-utf8"),
         pytest.param(b'{"order": ' + b"1" * 5000 + b"}", 2, id="integer-over-digit-limit"),
         pytest.param(b"[" * 100_000 + b"]" * 100_000, 2, id="nesting-over-recursion-limit"),
@@ -185,6 +179,63 @@ def test_invert_malformed_document_exit_code(tmp_path, capsys, content, code):
     config.write_bytes(content)
     assert main(["invert", str(config)]) == code
     assert capsys.readouterr().err.startswith("error: ")
+
+
+FUZZ_BASE = {
+    "colors": ["a", "b"],
+    "order": 2,
+    "kernels": [
+        {
+            "n": 1,
+            "entries": [
+                {"q": "a", "x": ["a"], "value": "1"},
+                {"q": "b", "x": ["a"], "value": "1/2"},
+            ],
+        },
+        {"n": 2, "entries": [{"q": "a", "x": ["a", "b"], "value": "-1/3"}]},
+    ],
+    "B": ["a"],
+}
+FUZZ_FIELDS = (
+    [("colors",), ("order",), ("B",)]
+    + [("kernels", i, name) for i in (0, 1) for name in ("n", "entries")]
+    + [
+        ("kernels", i, "entries", j, name)
+        for i, j in ((0, 0), (0, 1), (1, 0))
+        for name in ("q", "x", "value")
+    ]
+)
+# small ints only, so that no replaced order or size makes the work run away
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-2, max_value=4)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(["a", "b", "", "1/2", "0/0", "-1", "1.5"])
+    | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(
+        st.sampled_from(["n", "entries", "q", "x", "value"]) | st.text(max_size=3),
+        children,
+        max_size=4,
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(field=st.sampled_from(FUZZ_FIELDS), value=JSON_VALUES)
+def test_invert_fuzzed_document_exits_with_a_documented_code(tmp_path_factory, field, value):
+    doc = json.loads(json.dumps(FUZZ_BASE))
+    *parents, last = field
+    target = doc
+    for step in parents:
+        target = target[step]
+    target[last] = value
+    config = tmp_path_factory.mktemp("fuzz") / "problem.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["invert", str(config)]) in (0, 1, 2, 3)
+    assert main(["invert", str(config), "--det"]) in (0, 1, 2, 3)
 
 
 def test_invert_order_override_lowers_only(tmp_path):
@@ -223,10 +274,17 @@ def test_invert_unwritable_output_exits_2(tmp_path, capsys, target):
 
 
 def test_invert_accepts_phi_field(tmp_path):
-    doc = zero_doc()
-    doc["phi"] = [{"n": 1, "entries": [{"x": ["a"], "value": "1/2"}]}]
-    config = write_doc(tmp_path, doc)
-    assert main(["invert", config, "-o", str(tmp_path / "r.json")]) == 0
+    # phi is no longer read: like any unknown field it is ignored, even malformed
+    plain = tmp_path / "plain.json"
+    assert main(["invert", write_doc(tmp_path, zero_doc()), "-o", str(plain)]) == 0
+    for name, phi in [
+        ("well-formed", [{"n": 1, "entries": [{"x": ["a"], "value": "1/2"}]}]),
+        ("malformed", [{"n": True, "entries": [{"x": ["z"], "value": "1.5"}]}]),
+    ]:
+        doc = dict(zero_doc(), phi=phi, comment="unknown fields are ignored")
+        out = tmp_path / f"{name}.out.json"
+        assert main(["invert", write_doc(tmp_path, doc, f"{name}.json"), "-o", str(out)]) == 0
+        assert out.read_text() == plain.read_text()
 
 
 def test_invert_mismatch_exits_1(tmp_path, monkeypatch):
@@ -316,3 +374,9 @@ def test_enumerate_determinism(capsys):
 def test_enumerate_cap_violation_exits_2(capsys):
     assert main(["enumerate", "maps", "--n", "9", "--sinks", "1"]) == 2
     assert main(["enumerate", "partitions", "--n", "12"]) == 2
+    # one vertex past the cap of six is refused before any work starts
+    assert main(["enumerate", "maps", "--n", "7"]) == 2
+    assert main(["enumerate", "trees", "--n", "6"]) == 2
+    assert main(["enumerate", "crowns", "--n", "7"]) == 2
+    assert main(["enumerate", "partitions", "--n", "7"]) == 2
+    assert capsys.readouterr().err.count("error: ") == 6

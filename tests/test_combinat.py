@@ -4,27 +4,33 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import bell_number, enriched_count_oracle
+from helpers import (
+    bell_number,
+    connected_components,
+    enriched_count_oracle,
+    is_crown,
+    is_cycle_rooted_tree,
+)
 from lagrange_forest import (
     BlockTooLarge,
     ColorSet,
     EnrichedMap,
     SizeCapExceeded,
-    StructureClass,
-    classify,
-    connected_components,
-    det_coefficient_via_crowns,
     enumerate_crowns,
     enumerate_enriched_maps,
-    enumerate_rooted_trees,
-    exp_coefficient_via_maps,
-    forest_coefficient,
     make_kernel_family,
-    map_weight,
     set_partitions,
     tree_coefficient,
 )
-from lagrange_forest.combinat import is_crown, is_cycle_rooted_tree, is_vertex_rooted_tree
+from lagrange_forest.combinat import (
+    MAX_ENUMERATION,
+    det_coefficient_via_crowns,
+    enumerate_rooted_trees,
+    exp_coefficient_via_maps,
+    forest_coefficient,
+    is_vertex_rooted_tree,
+    map_weight,
+)
 
 A = ColorSet(("a",))
 AB = ColorSet(("a", "b"))
@@ -99,8 +105,12 @@ def test_enriched_maps_guards():
         enumerate_enriched_maps((1, 2), (2,))
     with pytest.raises(SizeCapExceeded):
         enumerate_enriched_maps(range(1, 9), (0, -1))
-    # configurable cap
-    assert enumerate_enriched_maps((1,), (), size_cap=1)
+    # the cap counts domain and sinks together, and admits exactly MAX_ENUMERATION
+    with pytest.raises(SizeCapExceeded):
+        enumerate_enriched_maps(range(1, MAX_ENUMERATION), (0, -1))
+    assert enumerate_crowns(range(1, MAX_ENUMERATION + 1))
+    with pytest.raises(SizeCapExceeded):
+        enumerate_crowns(range(1, MAX_ENUMERATION + 2))
 
 
 def test_enumeration_is_deterministic():
@@ -110,7 +120,7 @@ def test_enumeration_is_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# classification
+# structure of enriched maps, against the oracles in helpers
 
 
 def test_components_without_sinks_are_cycle_rooted():
@@ -118,10 +128,7 @@ def test_components_without_sinks_are_cycle_rooted():
         for m in enumerate_enriched_maps(range(1, n + 1)):
             for component in connected_components(m):
                 assert is_cycle_rooted_tree(component)
-                assert classify(component) in (
-                    StructureClass.CROWN,
-                    StructureClass.CYCLE_ROOTED_TREE,
-                )
+                assert not is_vertex_rooted_tree(component)
 
 
 def test_connected_maps_with_one_sink_split_into_tree_or_cycle():
@@ -138,13 +145,25 @@ def test_connected_maps_with_one_sink_split_into_tree_or_cycle():
 
 def test_classify_loop_is_crown():
     loop = EnrichedMap((1,), (), (1,), ((1, ((1,),)),))
-    assert classify(loop) is StructureClass.CROWN
+    assert is_crown(loop)
+    assert is_cycle_rooted_tree(loop)
 
 
 def test_classify_general_map():
-    # two disjoint loops
+    # two disjoint loops: neither a tree nor a crown, but two crowns
     m = EnrichedMap((1, 2), (), (1, 2), ((1, ((1,),)), (2, ((2,),))))
-    assert classify(m) is StructureClass.GENERAL_MAP
+    assert not is_crown(m)
+    assert not is_cycle_rooted_tree(m)
+    assert not is_vertex_rooted_tree(m)
+    assert all(is_crown(component) for component in connected_components(m))
+
+
+def test_vertex_rooted_trees_are_the_connected_one_sink_maps():
+    # a component ends in a sink or a cycle, so with one sink "no cycle" is
+    # the same as "connected"
+    for n in (1, 2, 3, 4):
+        for m in enumerate_enriched_maps(range(1, n + 1), (0,)):
+            assert is_vertex_rooted_tree(m) == (len(connected_components(m)) == 1)
 
 
 # ---------------------------------------------------------------------------

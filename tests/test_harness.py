@@ -5,13 +5,10 @@ from fractions import Fraction
 import pytest
 
 import lagrange_forest.combinat
-from lagrange_forest import (
-    SuiteConfig,
-    UnknownSuite,
-    random_kernel_family,
-    random_series,
-    run_suite,
-)
+import lagrange_forest.harness
+from lagrange_forest import SuiteConfig, UnknownSuite, run_suite
+from lagrange_forest.cli import main
+from lagrange_forest.harness import random_kernel_family, random_series
 
 
 def test_same_seed_gives_identical_families():
@@ -20,8 +17,9 @@ def test_same_seed_gives_identical_families():
     assert random_series(cfg) == random_series(cfg)
 
 
-def test_zero_pool_gives_zero_kernel():
-    cfg = SuiteConfig(seed=1, colors=2, order=3, trials=1, coefficient_pool=(Fraction(0),))
+def test_zero_pool_gives_zero_kernel(monkeypatch):
+    monkeypatch.setattr(lagrange_forest.harness, "POOL", (Fraction(0),))
+    cfg = SuiteConfig(seed=1, colors=2, order=3, trials=1)
     kernels = random_kernel_family(cfg)
     assert all(not table for table in kernels.tables.values())
     reports = run_suite("magic", cfg)
@@ -71,21 +69,21 @@ def test_config_validation():
         SuiteConfig(order=0)
     with pytest.raises(ValueError):
         SuiteConfig(trials=0)
-    with pytest.raises(ValueError):
-        SuiteConfig(coefficient_pool=())
+
+
+def _flip_crown_oracle(monkeypatch):
+    # flip the sign of the crown-side determinant oracle
+    original = lagrange_forest.combinat.det_coefficient_via_crowns
+
+    def corrupted(q_tuple, kernels):
+        return -original(q_tuple, kernels)
+
+    monkeypatch.setattr(lagrange_forest.combinat, "det_coefficient_via_crowns", corrupted)
 
 
 def test_corrupted_crown_oracle_is_caught(monkeypatch):
-    # flip the sign of the crown-side determinant oracle; the suite must
-    # notice and report a witness
-    original = lagrange_forest.combinat.det_coefficient_via_crowns
-
-    def corrupted(q_tuple, kernels, **kwargs):
-        return -original(q_tuple, kernels, **kwargs)
-
-    monkeypatch.setattr(
-        lagrange_forest.combinat, "det_coefficient_via_crowns", corrupted
-    )
+    # the suite must notice a corrupted oracle and report a witness
+    _flip_crown_oracle(monkeypatch)
     cfg = SuiteConfig(seed=0, colors=2, order=3, trials=1)
     reports = run_suite("species-oracles", cfg)
     failures = [r for r in reports if r.identity == "det-vs-crowns" and not r.passed]
@@ -100,8 +98,8 @@ def test_failure_report_carries_first_witness(monkeypatch):
     # corrupt the enriched-map oracle additively so every value is off
     original = lagrange_forest.combinat.exp_coefficient_via_maps
 
-    def corrupted(q_tuple, picked, kernels, **kwargs):
-        return original(q_tuple, picked, kernels, **kwargs) + 1
+    def corrupted(q_tuple, picked, kernels):
+        return original(q_tuple, picked, kernels) + 1
 
     monkeypatch.setattr(
         lagrange_forest.combinat, "exp_coefficient_via_maps", corrupted
@@ -110,3 +108,23 @@ def test_failure_report_carries_first_witness(monkeypatch):
     reports = run_suite("species-oracles", cfg)
     failed = [r for r in reports if r.identity == "exp-vs-maps" and not r.passed]
     assert failed and failed[0].witness is not None
+
+
+def test_verify_failure_prints_reproduce_line(monkeypatch, capsys):
+    _flip_crown_oracle(monkeypatch)
+    argv = ["verify", "species-oracles", "--seed", "4", "--d", "2", "--N", "3", "--trials", "2"]
+    assert main(argv) == 1
+    lines = capsys.readouterr().out.splitlines()
+    fail = next(i for i, line in enumerate(lines) if line.startswith("FAIL det-vs-crowns"))
+    assert "trial=" in lines[fail]
+    reproduce = lines[fail + 1]
+    command = "lagrange-forest verify species-oracles --seed 4 --d 2 --N 3 --trials 2"
+    assert reproduce == f"reproduce: {command}"
+    # the printed command reruns the failing run
+    assert main(command.split()[1:]) == 1
+    assert capsys.readouterr().out.splitlines() == lines
+
+
+def test_verify_pass_prints_no_reproduce_line(capsys):
+    assert main(["verify", "magic", "--d", "1", "--N", "3", "--trials", "1"]) == 0
+    assert capsys.readouterr().out == "PASS magic (1 trials)\n"

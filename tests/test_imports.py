@@ -1,11 +1,14 @@
-"""The two routes stay independent: an import scan of the package and the oracles.
+"""Import scans: the two routes stay independent, and the surface stays small.
 
 The series side and the enumeration side check each other, so neither may be
-built from the other, and the test oracles may use only the public API.
+built from the other, and the test oracles may use only public names. The
+package exports exactly ``__all__``, and it defines no public function or
+class that nothing in it calls.
 """
 
 import ast
 from pathlib import Path
+from types import ModuleType
 
 import lagrange_forest
 
@@ -65,3 +68,87 @@ def test_helpers_import_no_private_library_name():
             parts = target.split(".")
             if parts[0] == "lagrange_forest":
                 assert not any(part.startswith("_") for part in parts), target
+
+
+# ---------------------------------------------------------------------------
+# the public surface
+
+PUBLIC = [
+    # the README's library sketch
+    "ColorSet",
+    "make_kernel_family",
+    "solve_tree_fixed_point",
+    "fredholm_determinant",
+    "inverse_via_determinant",
+    # imported by the acceptance suite
+    "EnrichedMap",
+    "enumerate_crowns",
+    "enumerate_enriched_maps",
+    "set_partitions",
+    "tree_coefficient",
+    "SuiteConfig",
+    "run_suite",
+    # errors
+    "LagrangeForestError",
+    "UnknownColor",
+    "DuplicateKey",
+    "KeyTooLarge",
+    "OrderMismatch",
+    "ColorSetMismatch",
+    "NonzeroConstantTerm",
+    "TooManyPins",
+    "BlockTooLarge",
+    "EmptySubset",
+    "SizeCapExceeded",
+    "UnknownSuite",
+]
+
+
+def test_public_surface_is_all():
+    assert lagrange_forest.__all__ == PUBLIC
+    exported = {
+        name
+        for name, value in vars(lagrange_forest).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    }
+    assert exported == set(PUBLIC)
+
+
+def test_acceptance_imports_only_public_names():
+    acceptance = Path(__file__).with_name("test_acceptance.py")
+    tree = ast.parse(acceptance.read_text(encoding="utf-8"))
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "lagrange_forest"
+        for alias in node.names
+    }
+    assert imported
+    assert imported <= set(lagrange_forest.__all__)
+
+
+def test_every_public_definition_has_a_caller():
+    # a public top-level def or class must be named somewhere in the package
+    # besides its own definition; cli.main is the command's entry point
+    sources = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")
+    }
+    defined = {
+        (module, node.name)
+        for module, tree in sources.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+    # a re-export in __init__ is an import, not a Name, so it does not count
+    used = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in sources.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    unused = sorted(
+        f"{module}.{name}"
+        for module, name in defined
+        if name not in used and (module, name) != ("cli", "main")
+    )
+    assert not unused, unused

@@ -9,33 +9,37 @@ import pytest
 from lagrange_forest import (
     ColorSet,
     EmptySubset,
+    SuiteConfig,
+    fredholm_determinant,
+    inverse_via_determinant,
+    make_kernel_family,
+    solve_tree_fixed_point,
+    tree_coefficient,
+)
+from lagrange_forest.combinat import det_coefficient_via_crowns
+from lagrange_forest.harness import random_kernel_family, random_series
+from lagrange_forest.inversion import (
+    finite_matrix_determinant,
+    forward_measure,
+    identity_measure,
+    lagrange_good_coefficient,
+    magic_sum,
+    round_trip_check,
+    univariate_kernels,
+    univariate_lagrange_check,
+)
+from lagrange_forest.series import (
     FamilySeries,
     KernelFamily,
-    SuiteConfig,
     all_keys,
     compose_family,
     constant_series,
     exponential,
-    finite_matrix_determinant,
-    forward_measure,
-    fredholm_determinant,
-    identity_measure,
     indicator_series,
-    inverse_via_determinant,
-    lagrange_good_coefficient,
-    magic_sum,
-    make_kernel_family,
     make_series,
     radon_lift,
-    random_kernel_family,
-    random_series,
-    round_trip_check,
-    solve_tree_fixed_point,
-    tree_coefficient,
-    univariate_lagrange_check,
     variational_derivative,
 )
-from lagrange_forest.inversion import univariate_kernels
 
 from helpers import fredholm_oracle
 
@@ -150,8 +154,6 @@ def test_fredholm_cayley_is_one_minus_z():
 
 
 def test_fredholm_matches_crown_oracle():
-    from lagrange_forest import det_coefficient_via_crowns
-
     kernels = random_kernels(seed=13, colors=2, order=4)
     det = fredholm_determinant(kernels)
     for key in all_keys(AB, 4):

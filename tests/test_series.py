@@ -19,26 +19,28 @@ from lagrange_forest import (
     ColorSet,
     ColorSetMismatch,
     DuplicateKey,
-    FamilySeries,
     KeyTooLarge,
     NonzeroConstantTerm,
     OrderMismatch,
     TooManyPins,
-    TruncatedSeries,
     UnknownColor,
+    make_kernel_family,
+)
+from lagrange_forest.harness import SuiteConfig, random_series
+from lagrange_forest.series import (
+    FamilySeries,
+    MeasureSeries,
+    TruncatedSeries,
     add,
     all_keys,
     compose_family,
     compose_measure,
-    compose_univariate,
     constant_series,
     exponential,
     indicator_series,
-    integrate,
     make_series,
     multiply,
     radon_lift,
-    restrict,
     scale,
     variational_derivative,
     zero_series,
@@ -185,7 +187,7 @@ def test_multiply_many_empty_input():
 
 
 # ---------------------------------------------------------------------------
-# exponential and univariate composition
+# exponential
 
 
 def test_exponential_of_zero():
@@ -213,8 +215,6 @@ def test_exponential_requires_zero_constant():
 
 
 def test_exponential_homomorphism_seeded():
-    from lagrange_forest import SuiteConfig, random_series
-
     for seed in range(3):
         cfg = SuiteConfig(seed=seed, colors=2, order=4, trials=1)
         k = random_series(cfg, "homo-k")
@@ -222,28 +222,6 @@ def test_exponential_homomorphism_seeded():
         k = TruncatedSeries(k.colors, 4, {key: v for key, v in k.table.items() if key})
         g = TruncatedSeries(g.colors, 4, {key: v for key, v in g.table.items() if key})
         assert exponential(add(k, g)) == multiply(exponential(k), exponential(g))
-
-
-def test_compose_univariate_identity_and_constant():
-    k = make_series(AB, 3, [(("a",), 2), (("a", "b"), -1)])
-    assert compose_univariate([0, 1], k) == k
-    assert compose_univariate([1], k) == constant_series(AB, 3, 1)
-
-
-def test_compose_univariate_exp_matches_exponential():
-    from lagrange_forest import SuiteConfig, random_series
-
-    for seed in range(4):
-        cfg = SuiteConfig(seed=seed, colors=2, order=4, trials=1)
-        k = random_series(cfg, "compexp")
-        k = TruncatedSeries(k.colors, 4, {key: v for key, v in k.table.items() if key})
-        ones = [1] * (k.order + 1)
-        assert compose_univariate(ones, k) == exponential(k)
-
-
-def test_compose_univariate_requires_zero_constant():
-    with pytest.raises(NonzeroConstantTerm):
-        compose_univariate([0, 1], constant_series(A, 2, 5))
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +244,6 @@ def test_derivative_order_zero_term_is_pinned_coefficient():
 
 
 def test_derivative_leibniz_rule_seeded():
-    from lagrange_forest import SuiteConfig, random_series
-
     for seed in range(3):
         cfg = SuiteConfig(seed=seed, colors=2, order=4, trials=1)
         k = random_series(cfg, "leib-k")
@@ -313,7 +289,7 @@ def family_from(colors, order, tables):
 
 def test_integrate_constant_family():
     fam = FamilySeries.constant(AB, 3, 1)
-    result = integrate(fam)
+    result = radon_lift(fam).evaluate()
     assert result.coefficient(("a",)) == 1
     assert result.coefficient(("b",)) == 1
     assert result.coefficient(("a", "b")) == 0
@@ -322,13 +298,13 @@ def test_integrate_constant_family():
 
 def test_integrate_zero_family():
     fam = FamilySeries.constant(AB, 3, 0)
-    assert integrate(fam) == zero_series(AB, 3)
+    assert radon_lift(fam).evaluate() == zero_series(AB, 3)
 
 
 def test_integrate_single_variable_family():
     fam = family_from(A, 2, {"a": {("a",): 1}})
     # two choices of the integrated position
-    assert integrate(fam).coefficient(("a", "a")) == 2
+    assert radon_lift(fam).evaluate().coefficient(("a", "a")) == 2
 
 
 def test_radon_lift_of_constant_family_is_base_measure():
@@ -344,8 +320,6 @@ def test_radon_lift_of_zero_family():
 
 
 def test_radon_lift_evaluation_matches_integrate():
-    from lagrange_forest import SuiteConfig, random_series
-
     for seed in range(3):
         cfg = SuiteConfig(seed=seed, colors=2, order=4, trials=1)
         fam = FamilySeries(
@@ -353,10 +327,11 @@ def test_radon_lift_evaluation_matches_integrate():
             4,
             {"a": random_series(cfg, "rad-a"), "b": random_series(cfg, "rad-b")},
         )
-        assert radon_lift(fam).evaluate() == integrate(fam)
-        # integrate is the lift's total mass; check it against the definition:
+        lifted = radon_lift(fam)
+        assert lifted.evaluate() == add(lifted.members["a"], lifted.members["b"])
+        # the lift's total mass is the integral; check it against the definition:
         # the family member pinned at each position, at the remaining positions
-        integrated, total = integrate(fam), indicator_series(AB, 4, AB.names)
+        integrated, total = lifted.evaluate(), indicator_series(AB, 4, AB.names)
         for key in all_keys(AB, 4):
             assert integrated.coefficient(key) == compose_oracle(total, fam, key)
 
@@ -377,14 +352,12 @@ def test_compose_family_with_unit_family_is_identity():
 
 
 def test_compose_family_with_full_indicator_is_integrate():
-    from lagrange_forest import SuiteConfig, random_series
-
     cfg = SuiteConfig(seed=9, colors=2, order=3, trials=1)
     fam = FamilySeries(
         AB, 3, {"a": random_series(cfg, "cf-a"), "b": random_series(cfg, "cf-b")}
     )
     g = indicator_series(AB, 3, ("a", "b"))
-    assert compose_family(g, fam) == integrate(fam)
+    assert compose_family(g, fam) == radon_lift(fam).evaluate()
 
 
 def test_compose_family_pure_second_order():
@@ -395,8 +368,6 @@ def test_compose_family_pure_second_order():
 
 
 def test_compose_measure_with_unit_density_returns_substituted_measure():
-    from lagrange_forest import SuiteConfig, random_series
-
     cfg = SuiteConfig(seed=4, colors=2, order=3, trials=1)
     fam = FamilySeries(
         AB, 3, {"a": random_series(cfg, "cm-a"), "b": random_series(cfg, "cm-b")}
@@ -406,8 +377,6 @@ def test_compose_measure_with_unit_density_returns_substituted_measure():
 
 
 def test_compose_measure_with_unit_argument_is_identity():
-    from lagrange_forest import SuiteConfig, random_series
-
     cfg = SuiteConfig(seed=5, colors=2, order=3, trials=1)
     gamma = radon_lift(
         FamilySeries(
@@ -418,8 +387,6 @@ def test_compose_measure_with_unit_argument_is_identity():
 
 
 def test_compose_measure_matches_definition_oracle():
-    from lagrange_forest import SuiteConfig, random_series
-
     for seed in range(3):
         cfg = SuiteConfig(seed=seed, colors=2, order=3, trials=1)
         gamma = radon_lift(
@@ -441,28 +408,13 @@ def test_compose_measure_matches_definition_oracle():
 
 
 def test_compose_measure_requires_density():
-    from lagrange_forest import MeasureSeries
-
     bare = MeasureSeries(AB, 2, {"a": zero_series(AB, 2), "b": zero_series(AB, 2)})
     with pytest.raises(ValueError):
         compose_measure(bare, FamilySeries.constant(AB, 2, 1))
 
 
 # ---------------------------------------------------------------------------
-# restriction and relabelling
-
-
-def test_restrict():
-    k = make_series(AB, 2, [((), 3), (("a",), 1), (("b",), 2), (("a", "b"), 4)])
-    assert restrict(k, ("a", "b")) == k
-    only_f0 = restrict(k, ())
-    assert only_f0 == constant_series(AB, 2, 3)
-    on_a = restrict(k, ("a",))
-    assert on_a.coefficient(("a",)) == 1
-    assert on_a.coefficient(("b",)) == 0
-    assert on_a.coefficient(("a", "b")) == 0
-    with pytest.raises(UnknownColor):
-        restrict(k, ("c",))
+# relabelling
 
 
 def test_relabelling_invariance():
@@ -482,8 +434,6 @@ def test_relabelling_invariance():
 
 
 def test_multiply_laws_at_full_scale():
-    from lagrange_forest import SuiteConfig, random_series
-
     cfg = SuiteConfig(seed=77, colors=3, order=5, trials=1)
     k = random_series(cfg, "law-k")
     g = random_series(cfg, "law-g")
@@ -493,8 +443,6 @@ def test_multiply_laws_at_full_scale():
 
 
 def test_kernel_family_constructor_invariants():
-    from lagrange_forest import make_kernel_family
-
     with pytest.raises(NonzeroConstantTerm):
         make_kernel_family(AB, 2, [("a", (), 1)])
     with pytest.raises(DuplicateKey):
@@ -628,16 +576,6 @@ def test_exponential_matches_partition_oracle(d, order):
     e = exponential(k)
     for key in all_keys(k.colors, order):
         assert e.coefficient(key) == exponential_oracle(k, key), key
-
-
-@pytest.mark.parametrize("d,order", ORACLE_GRID)
-def test_compose_univariate_matches_partition_oracle(d, order):
-    k = random_dense_series(d, order, f"cu:{d}", constant=False)
-    rng = random.Random(f"cu-outer:{d}")
-    outer = [rng.choice(POOL) for _ in range(order + 1)]
-    composed = compose_univariate(outer, k)
-    for key in all_keys(k.colors, order):
-        assert composed.coefficient(key) == exponential_oracle(k, key, outer), key
 
 
 @pytest.mark.parametrize("d,order", ORACLE_GRID)
