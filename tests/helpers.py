@@ -2,8 +2,8 @@
 
 Everything here is deliberately written from scratch against the defining
 formulas (subset sums, set partitions, Bell recurrence, raw product
-enumeration, Leibniz expansions) so the package under test never checks
-itself against its own code paths.
+enumeration, Leibniz expansions, walks of a map's digraph) so the package
+under test never checks itself against its own code paths.
 """
 
 from __future__ import annotations

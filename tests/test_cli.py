@@ -320,6 +320,8 @@ def test_verify_all_small(capsys):
 
 def test_verify_magic_d1(capsys):
     assert main(["verify", "magic", "--d", "1", "--N", "3"]) == 0
+    # a passing run prints one line per identity and no reproduce line
+    assert capsys.readouterr().out == "PASS magic (3 trials)\n"
 
 
 def test_verify_unknown_suite_exits_2():

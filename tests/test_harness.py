@@ -123,8 +123,3 @@ def test_verify_failure_prints_reproduce_line(monkeypatch, capsys):
     # the printed command reruns the failing run
     assert main(command.split()[1:]) == 1
     assert capsys.readouterr().out.splitlines() == lines
-
-
-def test_verify_pass_prints_no_reproduce_line(capsys):
-    assert main(["verify", "magic", "--d", "1", "--N", "3", "--trials", "1"]) == 0
-    assert capsys.readouterr().out == "PASS magic (1 trials)\n"
