@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .errors import BlockTooLarge, SizeCapExceeded
 
@@ -122,10 +122,8 @@ class EnrichedMap:
         return f"{arrows} ; {parts}" if parts else arrows
 
 
-@lru_cache(maxsize=256)
-def _enriched_maps(domain: tuple[int, ...], sinks: tuple[int, ...]) -> tuple[EnrichedMap, ...]:
+def _iter_maps(domain: tuple[int, ...], sinks: tuple[int, ...]) -> Iterator[EnrichedMap]:
     universe = tuple(sorted(domain + sinks))
-    out = []
     for targets in product(universe, repeat=len(domain)):
         fibers: dict[int, list[int]] = {}
         for v, t in zip(domain, targets):
@@ -135,8 +133,14 @@ def _enriched_maps(domain: tuple[int, ...], sinks: tuple[int, ...]) -> tuple[Enr
             [(v, parts) for parts in set_partitions_of(fibers[v])] for v in occupied
         ]
         for combo in product(*choices):
-            out.append(EnrichedMap(domain, sinks, targets, tuple(combo)))
-    return tuple(out)
+            yield EnrichedMap(domain, sinks, targets, tuple(combo))
+
+
+# The oracles share these caches; the public enumerations build fresh lists, so
+# a large enumeration is freed when its caller drops it.
+@lru_cache(maxsize=256)
+def _enriched_maps(domain: tuple[int, ...], sinks: tuple[int, ...]) -> tuple[EnrichedMap, ...]:
+    return tuple(_iter_maps(domain, sinks))
 
 
 def enumerate_enriched_maps(domain: Iterable[int], sinks: Iterable[int] = ()) -> list[EnrichedMap]:
@@ -153,7 +157,7 @@ def enumerate_enriched_maps(domain: Iterable[int], sinks: Iterable[int] = ()) ->
     if not dom:
         return []
     _check_cap(len(dom) + len(snk))
-    return list(_enriched_maps(dom, snk))
+    return list(_iter_maps(dom, snk))
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +226,7 @@ def enumerate_rooted_trees(domain: Iterable[int], sink: int = 0) -> list[Enriche
     if not dom:
         return []
     _check_cap(len(dom) + 1)
-    return list(_rooted_trees(dom, sink))
+    return [m for m in _iter_maps(dom, (sink,)) if is_vertex_rooted_tree(m)]
 
 
 def tree_coefficient(
@@ -261,9 +265,7 @@ def _tree_sum(root_color: str, leaves: tuple[str, ...], kernels: "KernelFamily")
 # crowns
 
 
-@lru_cache(maxsize=256)
-def _crowns(domain: tuple[int, ...]) -> tuple[EnrichedMap, ...]:
-    out = []
+def _iter_crowns(domain: tuple[int, ...]) -> Iterator[EnrichedMap]:
     n = len(domain)
     for base_size in range(1, n + 1):
         for base in combinations(domain, base_size):
@@ -281,12 +283,12 @@ def _crowns(domain: tuple[int, ...]) -> tuple[EnrichedMap, ...]:
                     blocks = tuple(
                         (v, (tuple(fibers[v]),)) for v in domain if v in fibers
                     )
-                    out.append(
-                        EnrichedMap(
-                            domain, (), tuple(full[v] for v in domain), blocks
-                        )
-                    )
-    return tuple(out)
+                    yield EnrichedMap(domain, (), tuple(full[v] for v in domain), blocks)
+
+
+@lru_cache(maxsize=256)
+def _crowns(domain: tuple[int, ...]) -> tuple[EnrichedMap, ...]:
+    return tuple(_iter_crowns(domain))
 
 
 def enumerate_crowns(domain: Iterable[int]) -> list[EnrichedMap]:
@@ -300,7 +302,7 @@ def enumerate_crowns(domain: Iterable[int]) -> list[EnrichedMap]:
     if not dom:
         raise ValueError("crowns need a non-empty vertex set")
     _check_cap(len(dom))
-    return list(_crowns(dom))
+    return list(_iter_crowns(dom))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Randomized identity suites with deterministic seeds and witness reporting.
 
 Every suite draws kernel and observable coefficients from a small rational
-pool, runs an exact identity over a full deterministic grid of pinned
-tuples, and emits one :class:`IdentityReport` per trial and identity. A
-failing report carries the first offending coefficient in size-then-lex
-order.
+pool and turns each identity into a stream of ``(location, expected, got)``
+cases over a deterministic grid of pinned tuples, which
+:func:`~lagrange_forest.reports.first_mismatch` reduces to one
+:class:`IdentityReport`: PASS with the number of checks, or FAIL at the
+first offending case in size-then-lex order. :func:`run_suite` stamps each
+report with its trial.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .inversion import (
     solve_tree_fixed_point,
     univariate_lagrange_check,
 )
-from .reports import IdentityReport, report_fail, report_pass
+from .reports import IdentityReport, first_mismatch
 from .series import (
     ColorSet,
     KernelFamily,
@@ -101,126 +103,75 @@ def random_series(cfg: SuiteConfig, label: str = "phi") -> TruncatedSeries:
     return make_series(colors, cfg.order, entries)
 
 
-def _with_trial(report: IdentityReport, trial: int) -> IdentityReport:
-    return IdentityReport(
-        report.identity,
-        (("trial", str(trial)),) + report.params,
-        report.status,
-        report.witness,
-    )
-
-
 def _pinned_tuples(cfg: SuiteConfig) -> Iterable[tuple[str, ...]]:
     names = cfg.color_names
     for n in range(1, min(cfg.max_tuple, cfg.order) + 1):
         yield from combinations_with_replacement(names, n)
 
 
-def _suite_lagrange_good(
-    cfg: SuiteConfig, trial: int, kernels: KernelFamily
-) -> list[IdentityReport]:
+def _suite_lagrange_good(cfg: SuiteConfig, kernels: KernelFamily) -> list[IdentityReport]:
     phi = random_series(cfg)
     composed = compose_family(phi, solve_tree_fixed_point(kernels).tree_factors)
-    checks = 0
-    for q_tuple in _pinned_tuples(cfg):
-        want = composed.coefficient(q_tuple)
-        got = lagrange_good_coefficient(kernels, phi, q_tuple)
-        checks += 1
-        if want != got:
-            return [report_fail("lagrange-good", q_tuple, want, got, trial=trial)]
-    return [report_pass("lagrange-good", trial=trial, checks=checks)]
+    cases = (
+        (q, composed.coefficient(q), lagrange_good_coefficient(kernels, phi, q))
+        for q in _pinned_tuples(cfg)
+    )
+    return [first_mismatch("lagrange-good", cases)]
 
 
-def _suite_magic(
-    cfg: SuiteConfig, trial: int, kernels: KernelFamily
-) -> list[IdentityReport]:
-    checks = 0
-    for q_tuple in _pinned_tuples(cfg):
-        value = magic_sum(kernels, q_tuple)
-        checks += 1
-        if value:
-            return [report_fail("magic", q_tuple, 0, value, trial=trial)]
-    return [report_pass("magic", trial=trial, checks=checks)]
+def _suite_magic(cfg: SuiteConfig, kernels: KernelFamily) -> list[IdentityReport]:
+    cases = ((q, 0, magic_sum(kernels, q)) for q in _pinned_tuples(cfg))
+    return [first_mismatch("magic", cases)]
 
 
-def _suite_round_trip(
-    cfg: SuiteConfig, trial: int, kernels: KernelFamily
-) -> list[IdentityReport]:
-    return [_with_trial(round_trip_check(kernels), trial)]
+def _suite_round_trip(cfg: SuiteConfig, kernels: KernelFamily) -> list[IdentityReport]:
+    return [round_trip_check(kernels)]
 
 
-def _suite_species(
-    cfg: SuiteConfig, trial: int, kernels: KernelFamily
-) -> list[IdentityReport]:
+def _suite_species(cfg: SuiteConfig, kernels: KernelFamily) -> list[IdentityReport]:
     rng = random.Random(f"species:{cfg.seed}")
-    names = cfg.color_names
-    fredholm = fredholm_determinant(kernels)
     cap = min(cfg.max_tuple, 4, cfg.order)
-    reports = []
+    q_tuples = [tuple(rng.choice(cfg.color_names) for _ in range(n)) for n in range(1, cap + 1)]
+    prefixes = [q_tuple[:k] for q_tuple in q_tuples for k in range(1, len(q_tuple) + 1)]
+    fredholm = fredholm_determinant(kernels)
+    det_cases = (
+        (p, fredholm.coefficient(p), combinat.det_coefficient_via_crowns(p, kernels))
+        for p in prefixes
+    )
+    return [
+        first_mismatch("exp-vs-maps", _exp_cases(q_tuples, kernels)),
+        first_mismatch("det-vs-crowns", det_cases),
+        first_mismatch("forest-factorization", _forest_cases(q_tuples, kernels)),
+    ]
 
-    exp_fail = det_fail = forest_fail = None
-    exp_checks = det_checks = forest_checks = 0
-    for n in range(1, cap + 1):
-        q_tuple = tuple(rng.choice(names) for _ in range(n))
-        positions = tuple(range(1, n + 1))
+
+def _exp_cases(q_tuples: list[tuple[str, ...]], kernels: KernelFamily):
+    for q_tuple in q_tuples:
+        n = len(q_tuple)
         exp_series = _pinned_exponential(kernels, q_tuple, n)
-
         for size in range(n + 1):
-            for picked in combinations(positions, size):
+            for picked in combinations(range(1, n + 1), size):
                 want = exp_series.coefficient(tuple(q_tuple[i - 1] for i in picked))
                 got = combinat.exp_coefficient_via_maps(q_tuple, picked, kernels)
-                exp_checks += 1
-                if want != got and exp_fail is None:
-                    exp_fail = (q_tuple, picked, want, got)
+                yield q_tuple, want, got, {"picked": picked}
 
-        for k in range(1, n + 1):
-            prefix = q_tuple[:k]
-            want = fredholm.coefficient(prefix)
-            got = combinat.det_coefficient_via_crowns(prefix, kernels)
-            det_checks += 1
-            if want != got and det_fail is None:
-                det_fail = (prefix, want, got)
 
-        for split in _three_way_splits(positions):
+def _forest_cases(q_tuples: list[tuple[str, ...]], kernels: KernelFamily):
+    """Maps on a domain factor into forests on the roots times maps into the rest."""
+    for q_tuple in q_tuples:
+        for split in _three_way_splits(tuple(range(1, len(q_tuple) + 1))):
             roots, domain, rest = split
             lhs = combinat.exp_coefficient_via_maps(q_tuple, domain, kernels)
             rhs = Fraction(0)
             for r1 in range(len(domain) + 1):
                 for part_one in combinations(domain, r1):
                     part_two = tuple(i for i in domain if i not in part_one)
-                    rhs += _forest_side(
-                        q_tuple, roots, part_one, kernels
-                    ) * _exp_side(q_tuple, rest, part_two, kernels)
-            forest_checks += 1
-            if lhs != rhs and forest_fail is None:
-                forest_fail = (q_tuple, split, lhs, rhs)
-
-    if exp_fail is None:
-        reports.append(report_pass("exp-vs-maps", trial=trial, checks=exp_checks))
-    else:
-        q_tuple, picked, want, got = exp_fail
-        reports.append(
-            report_fail(
-                "exp-vs-maps", q_tuple, want, got, trial=trial, picked=picked
-            )
-        )
-    if det_fail is None:
-        reports.append(report_pass("det-vs-crowns", trial=trial, checks=det_checks))
-    else:
-        prefix, want, got = det_fail
-        reports.append(report_fail("det-vs-crowns", prefix, want, got, trial=trial))
-    if forest_fail is None:
-        reports.append(
-            report_pass("forest-factorization", trial=trial, checks=forest_checks)
-        )
-    else:
-        q_tuple, split, lhs, rhs = forest_fail
-        reports.append(
-            report_fail(
-                "forest-factorization", q_tuple, lhs, rhs, trial=trial, split=split
-            )
-        )
-    return reports
+                    rhs += combinat.forest_coefficient(
+                        *_rebase(q_tuple, part_one, roots), kernels
+                    ) * combinat.exp_coefficient_via_maps(
+                        *_rebase(q_tuple, rest, part_two), kernels
+                    )
+            yield q_tuple, lhs, rhs, {"split": split}
 
 
 def _three_way_splits(positions: Sequence[int]):
@@ -236,75 +187,42 @@ def _three_way_splits(positions: Sequence[int]):
         yield tuple(roots), tuple(domain), tuple(rest)
 
 
-def _forest_side(
-    q_tuple: Sequence[str],
-    roots: Sequence[int],
-    extra: Sequence[int],
-    kernels: KernelFamily,
-) -> Fraction:
-    support = tuple(sorted((*roots, *extra)))
-    sub_tuple = tuple(q_tuple[i - 1] for i in support)
-    rebased_roots = tuple(support.index(i) + 1 for i in roots)
-    return combinat.forest_coefficient(sub_tuple, rebased_roots, kernels)
-
-
-def _exp_side(
-    q_tuple: Sequence[str],
-    sinks: Sequence[int],
-    domain: Sequence[int],
-    kernels: KernelFamily,
-) -> Fraction:
-    support = tuple(sorted((*sinks, *domain)))
-    sub_tuple = tuple(q_tuple[i - 1] for i in support)
-    rebased = tuple(support.index(i) + 1 for i in domain)
-    return combinat.exp_coefficient_via_maps(sub_tuple, rebased, kernels)
+def _rebase(
+    q_tuple: Sequence[str], others: Sequence[int], picked: Sequence[int]
+) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """The sub-tuple on ``others`` and ``picked``, and where ``picked`` lands in it."""
+    support = tuple(sorted((*others, *picked)))
+    return (
+        tuple(q_tuple[i - 1] for i in support),
+        tuple(support.index(i) + 1 for i in picked),
+    )
 
 
 def _suite_determinant_reduction(
-    cfg: SuiteConfig, trial: int, kernels: KernelFamily
+    cfg: SuiteConfig, kernels: KernelFamily
 ) -> list[IdentityReport]:
     rng = random.Random(f"detred:{cfg.seed}")
     names = cfg.color_names
     subset = tuple(sorted(rng.sample(names, rng.randint(1, len(names)))))
     fredholm = fredholm_determinant(kernels)
     small = finite_matrix_determinant(kernels, subset)
-    checks = 0
-    for n in range(1, cfg.order + 1):
-        for key in combinations_with_replacement(subset, n):
-            want = fredholm.coefficient(key)
-            got = small.coefficient(key)
-            checks += 1
-            if want != got:
-                return [
-                    report_fail(
-                        "determinant-reduction",
-                        key,
-                        want,
-                        got,
-                        trial=trial,
-                        subset=subset,
-                    )
-                ]
-    return [
-        report_pass(
-            "determinant-reduction", trial=trial, checks=checks, subset=subset
-        )
-    ]
+    cases = (
+        (key, fredholm.coefficient(key), small.coefficient(key))
+        for n in range(1, cfg.order + 1)
+        for key in combinations_with_replacement(subset, n)
+    )
+    return [first_mismatch("determinant-reduction", cases, subset=subset)]
 
 
-def _suite_univariate(
-    cfg: SuiteConfig, trial: int, kernels: KernelFamily
-) -> list[IdentityReport]:
+def _suite_univariate(cfg: SuiteConfig, kernels: KernelFamily) -> list[IdentityReport]:
     # draws its own one-color kernel; the trial's family is not used
     rng = random.Random(f"univariate:{cfg.seed}")
     kernel_coeffs = [rng.choice(POOL) for _ in range(cfg.order)]
     outer_coeffs = [rng.choice(POOL) for _ in range(cfg.order + 1)]
-    return [_with_trial(univariate_lagrange_check(kernel_coeffs, outer_coeffs, cfg.order), trial)]
+    return [univariate_lagrange_check(kernel_coeffs, outer_coeffs, cfg.order)]
 
 
-_SUITES: dict[
-    str, Callable[[SuiteConfig, int, KernelFamily], list[IdentityReport]]
-] = {
+_SUITES: dict[str, Callable[[SuiteConfig, KernelFamily], list[IdentityReport]]] = {
     "lagrange-good": _suite_lagrange_good,
     "magic": _suite_magic,
     "round-trip": _suite_round_trip,
@@ -332,6 +250,10 @@ def run_suite(name: str, cfg: SuiteConfig) -> list[IdentityReport]:
     for trial in range(cfg.trials):
         trial_cfg = replace(cfg, seed=_trial_seed(cfg.seed, trial))
         kernels = random_kernel_family(trial_cfg)
+        stamp = (("trial", str(trial)),)
         for runner in runners:
-            reports.extend(runner(trial_cfg, trial, kernels))
+            reports.extend(
+                replace(report, params=stamp + report.params)
+                for report in runner(trial_cfg, kernels)
+            )
     return reports

@@ -24,7 +24,7 @@ from math import factorial
 from typing import Iterable, Sequence
 
 from .errors import EmptySubset, KeyTooLarge
-from .reports import IdentityReport, report_fail, report_pass
+from .reports import IdentityReport, first_mismatch, report_fail, report_pass
 from .series import (
     ColorSet,
     FamilySeries,
@@ -251,18 +251,18 @@ def round_trip_check(kernels: KernelFamily) -> IdentityReport:
         ("forward-after-inverse", compose_measure(forward, solution.tree_factors)),
         ("inverse-after-forward", compose_measure(solution.inverse, forward.density)),
     )
-    for side, composed in sides:
-        for q in kernels.colors.sorted_names:
-            got_table = composed.members[q].table
-            want_table = identity.members[q].table
-            for key in all_keys(kernels.colors, kernels.order):
-                got = got_table.get(key, Fraction(0))
-                want = want_table.get(key, Fraction(0))
-                if got != want:
-                    return report_fail(
-                        "round-trip", (q, *key), want, got, side=side
-                    )
-    return report_pass("round-trip")
+    cases = (
+        (
+            (q, *key),
+            identity.members[q].table.get(key, 0),
+            composed.members[q].table.get(key, 0),
+            {"side": side},
+        )
+        for side, composed in sides
+        for q in kernels.colors.sorted_names
+        for key in all_keys(kernels.colors, kernels.order)
+    )
+    return first_mismatch("round-trip", cases)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,16 @@
-"""Structured pass/fail records for identity checks."""
+"""Structured pass/fail records for identity checks.
+
+An identity check is a stream of cases ``(location, expected, got)``, each
+optionally followed by a dict of parameters that describe the case.
+:func:`first_mismatch` turns such a stream into one report: PASS with the
+number of cases checked, or FAIL with the first case whose sides differ. A
+report passes exactly when it carries no witness.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -18,16 +26,16 @@ class Witness:
 class IdentityReport:
     identity: str
     params: tuple[tuple[str, str], ...]
-    status: str  # "PASS" or "FAIL"
     witness: Witness | None = None
 
     @property
     def passed(self) -> bool:
-        return self.status == "PASS"
+        return self.witness is None
 
     def describe(self) -> str:
         params = ", ".join(f"{k}={v}" for k, v in self.params)
-        head = f"{self.status} {self.identity}" + (f" [{params}]" if params else "")
+        status = "PASS" if self.passed else "FAIL"
+        head = f"{status} {self.identity}" + (f" [{params}]" if params else "")
         if self.witness is None:
             return head
         w = self.witness
@@ -37,10 +45,12 @@ class IdentityReport:
         )
 
 
+def _params(params: dict[str, object]) -> tuple[tuple[str, str], ...]:
+    return tuple((k, str(v)) for k, v in params.items())
+
+
 def report_pass(identity: str, **params: object) -> IdentityReport:
-    return IdentityReport(
-        identity, tuple((k, str(v)) for k, v in params.items()), "PASS"
-    )
+    return IdentityReport(identity, _params(params))
 
 
 def report_fail(
@@ -51,8 +61,24 @@ def report_fail(
     **params: object,
 ) -> IdentityReport:
     return IdentityReport(
-        identity,
-        tuple((k, str(v)) for k, v in params.items()),
-        "FAIL",
-        Witness(tuple(location), str(expected), str(got)),
+        identity, _params(params), Witness(tuple(location), str(expected), str(got))
     )
+
+
+def first_mismatch(
+    identity: str, cases: Iterable[tuple], **params: object
+) -> IdentityReport:
+    """Check ``(location, expected, got[, case_params])`` cases in order.
+
+    Stops at the first case whose sides differ and reports it, with
+    ``params`` followed by that case's own parameters. Otherwise passes
+    with ``checks`` (the number of cases) followed by ``params``.
+    """
+    checks = 0
+    for location, expected, got, *case_params in cases:
+        if expected != got:
+            return report_fail(
+                identity, location, expected, got, **params, **dict(*case_params)
+            )
+        checks += 1
+    return report_pass(identity, checks=checks, **params)

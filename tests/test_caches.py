@@ -3,8 +3,16 @@
 import importlib
 import pkgutil
 
+import pytest
+
 import lagrange_forest
-from lagrange_forest import fredholm_determinant
+from lagrange_forest import enumerate_crowns, enumerate_enriched_maps, fredholm_determinant
+from lagrange_forest.combinat import (
+    _crowns,
+    _enriched_maps,
+    _rooted_trees,
+    enumerate_rooted_trees,
+)
 from lagrange_forest.cli import dump_document, main
 from lagrange_forest.harness import SuiteConfig, run_suite
 
@@ -53,3 +61,21 @@ def test_every_cache_is_bounded():
         "inversion.fredholm_determinant",
     } <= set(found)
     assert all(maxsize is not None for maxsize in found.values()), found
+
+
+@pytest.mark.parametrize(
+    "enumerate_five",
+    [
+        lambda: enumerate_enriched_maps(range(1, 6)),
+        lambda: enumerate_enriched_maps(range(1, 4), sinks=(4, 5)),
+        lambda: enumerate_rooted_trees(range(1, 5)),
+        lambda: enumerate_crowns(range(1, 6)),
+    ],
+    ids=["maps", "maps-with-sinks", "trees", "crowns"],
+)
+def test_public_enumerations_leave_the_oracle_caches_empty(enumerate_five):
+    # a public enumeration is the caller's list; nothing of it stays resident
+    for cache in (_enriched_maps, _rooted_trees, _crowns):
+        cache.cache_clear()
+    assert enumerate_five()
+    assert [c.cache_info().currsize for c in (_enriched_maps, _rooted_trees, _crowns)] == [0, 0, 0]

@@ -6,9 +6,11 @@ import pytest
 
 import lagrange_forest.combinat
 import lagrange_forest.harness
+import lagrange_forest.inversion
 from lagrange_forest import SuiteConfig, UnknownSuite, run_suite
 from lagrange_forest.cli import main
 from lagrange_forest.harness import random_kernel_family, random_series
+from lagrange_forest.series import FamilySeries, radon_lift, scale
 
 
 def test_same_seed_gives_identical_families():
@@ -40,10 +42,9 @@ def test_run_suite_is_deterministic():
 
 
 def test_all_suites_pass_on_small_config():
-    cfg = SuiteConfig(seed=0, colors=2, order=3, trials=2)
+    cfg = SuiteConfig(seed=0, colors=2, order=3, trials=3)
     reports = run_suite("all", cfg)
-    identities = {r.identity for r in reports}
-    assert identities == {
+    identities = [
         "lagrange-good",
         "magic",
         "round-trip",
@@ -52,8 +53,11 @@ def test_all_suites_pass_on_small_config():
         "forest-factorization",
         "determinant-reduction",
         "univariate-inversion",
-    }
-    for report in reports:
+    ]
+    # every trial yields the eight identities in order, each stamped with it
+    assert [r.identity for r in reports] == identities * 3
+    for i, report in enumerate(reports):
+        assert report.params[0] == ("trial", str(i // 8))
         assert report.passed, report.describe()
 
 
@@ -108,6 +112,63 @@ def test_failure_report_carries_first_witness(monkeypatch):
     reports = run_suite("species-oracles", cfg)
     failed = [r for r in reports if r.identity == "exp-vs-maps" and not r.passed]
     assert failed and failed[0].witness is not None
+
+
+class _Shifted:
+    """A series whose every coefficient reads one too high."""
+
+    def __init__(self, series):
+        self.series = series
+
+    def coefficient(self, key):
+        return self.series.coefficient(key) + 1
+
+
+def _plus_one(original):
+    return lambda *args: original(*args) + 1
+
+
+# (suite, module, binding, corruption, every FAIL line): each case corrupts
+# one function an identity depends on, through the module attribute its
+# caller reads
+CORRUPTIONS = [
+    ("lagrange-good", lagrange_forest.harness, "lagrange_good_coefficient", _plus_one,
+     ["FAIL lagrange-good [trial=0] at (a): expected 0, got 1"]),
+    ("magic", lagrange_forest.harness, "magic_sum", _plus_one,
+     ["FAIL magic [trial=0] at (a): expected 0, got 1"]),
+    ("round-trip", lagrange_forest.inversion, "identity_measure",
+     lambda original: lambda colors, order: radon_lift(FamilySeries.constant(colors, order, 2)),
+     ["FAIL round-trip [trial=0, side=forward-after-inverse] at (a, a): expected 2, got 1"]),
+    ("species-oracles", lagrange_forest.combinat, "exp_coefficient_via_maps", _plus_one,
+     ["FAIL exp-vs-maps [trial=0, picked=()] at (b): expected 1, got 2",
+      "FAIL forest-factorization [trial=0, split=((2, 3), (1,), ())] at (b, a, b):"
+      " expected 0, got -1"]),
+    ("species-oracles", lagrange_forest.combinat, "det_coefficient_via_crowns", _plus_one,
+     ["FAIL det-vs-crowns [trial=0] at (b): expected 0, got 1"]),
+    ("species-oracles", lagrange_forest.combinat, "forest_coefficient", _plus_one,
+     ["FAIL forest-factorization [trial=0, split=((1,), (), ())] at (b): expected 1, got 2"]),
+    ("species-oracles", lagrange_forest.combinat, "tree_coefficient", _plus_one,
+     ["FAIL forest-factorization [trial=0, split=((1,), (), ())] at (b): expected 1, got 2"]),
+    ("determinant-reduction", lagrange_forest.harness, "finite_matrix_determinant",
+     lambda original: lambda *args: _Shifted(original(*args)),
+     ["FAIL determinant-reduction [trial=0, subset=('b',)] at (b): expected 0, got 1"]),
+    ("univariate", lagrange_forest.inversion, "compose_family",
+     lambda original: lambda *args: scale(original(*args), 2),
+     ["FAIL univariate-inversion [trial=0, n=1] at (1): expected 2, got 1 / 1"]),
+]
+
+
+@pytest.mark.parametrize(
+    "suite, module, binding, corrupt, fail_lines",
+    CORRUPTIONS,
+    ids=[case[2] for case in CORRUPTIONS],
+)
+def test_corruption_gives_pinned_fail_report(
+    monkeypatch, suite, module, binding, corrupt, fail_lines
+):
+    monkeypatch.setattr(module, binding, corrupt(getattr(module, binding)))
+    reports = run_suite(suite, SuiteConfig(seed=0, colors=2, order=3, trials=1))
+    assert [r.describe() for r in reports if not r.passed] == fail_lines
 
 
 def test_verify_failure_prints_reproduce_line(monkeypatch, capsys):
