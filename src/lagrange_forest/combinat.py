@@ -319,7 +319,10 @@ def exp_coefficient_via_maps(
     ``picked`` selects positions I of ``q_tuple`` (1-based). The value is
     the sum of weights over all enriched maps with domain I and the other
     positions as sinks, colored by ``q_tuple``. For empty I the value is
-    one (the exponential's constant term).
+    one (the exponential's constant term). Relabelling vertices permutes
+    the maps, so the sum depends only on the colors of I and of the sinks;
+    it is cached on those two multisets and the family's identity, and each
+    distinct sum is enumerated map by map.
     """
     n = len(q_tuple)
     chosen = tuple(sorted(set(picked)))
@@ -328,10 +331,22 @@ def exp_coefficient_via_maps(
     if not chosen:
         return Fraction(1)
     _check_cap(n)
-    sinks = tuple(i for i in range(1, n + 1) if i not in chosen)
-    coloring = {i: q_tuple[i - 1] for i in range(1, n + 1)}
+    domain_colors = tuple(sorted(q_tuple[i - 1] for i in chosen))
+    sink_colors = tuple(
+        sorted(q_tuple[i - 1] for i in range(1, n + 1) if i not in chosen)
+    )
+    return _map_sum(domain_colors, sink_colors, kernels)
+
+
+@lru_cache(maxsize=256)
+def _map_sum(
+    domain_colors: tuple[str, ...], sink_colors: tuple[str, ...], kernels: "KernelFamily"
+) -> Fraction:
+    # vertices 1..k form the domain and k+1..n the sinks, colored in order
+    k, n = len(domain_colors), len(domain_colors) + len(sink_colors)
+    coloring = dict(enumerate(domain_colors + sink_colors, start=1))
     total = Fraction(0)
-    for m in _enriched_maps(chosen, sinks):
+    for m in _enriched_maps(tuple(range(1, k + 1)), tuple(range(k + 1, n + 1))):
         total += map_weight(m, coloring, kernels)
     return total
 

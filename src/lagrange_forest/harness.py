@@ -238,7 +238,9 @@ def run_suite(name: str, cfg: SuiteConfig) -> list[IdentityReport]:
     """Run one suite (or all of them) and return reports in trial order.
 
     Each trial draws one kernel family and hands it to every suite, so the
-    suites of a trial share its Fredholm determinant and tree sums.
+    suites of a trial share the results cached on it: the Fredholm
+    determinant, the tree solution, the pinned exponentials and the tree and
+    map sums.
     """
     if name == "all":
         runners = list(_SUITES.values())

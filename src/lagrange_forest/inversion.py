@@ -9,9 +9,10 @@ finite matrix over a color subset, by the trace formula
 det(Id - L) = exp(-sum_m tr(L^m) / m). The cancellation between the two
 routes can be checked exactly.
 
-Every function takes the :class:`KernelFamily` itself. The Fredholm
-determinant, the one derived series that a run queries again for the same
-family, sits in a bounded ``lru_cache`` keyed on the family's identity.
+Every function takes the :class:`KernelFamily` itself. What several
+queries or suites read again for one family (the Fredholm determinant, the
+tree solution and the pinned exponentials) sits in bounded ``lru_cache``s
+keyed on the family's identity.
 """
 
 from __future__ import annotations
@@ -19,11 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import combinations
 from math import factorial
 from typing import Iterable, Sequence
 
-from .errors import EmptySubset, KeyTooLarge
+from .errors import ColorSetMismatch, EmptySubset, KeyTooLarge, OrderMismatch
 from .reports import IdentityReport, first_mismatch, report_fail, report_pass
 from .series import (
     ColorSet,
@@ -33,8 +33,10 @@ from .series import (
     TruncatedSeries,
     _Monomials,
     _compose_table,
+    _split_sum,
     add,
     all_keys,
+    canonical_key,
     compose_family,
     compose_measure,
     exponential,
@@ -76,13 +78,15 @@ def forward_measure(kernels: KernelFamily) -> MeasureSeries:
     return radon_lift(FamilySeries(kernels.colors, kernels.order, members))
 
 
+@lru_cache(maxsize=4)
 def solve_tree_fixed_point(kernels: KernelFamily) -> TreeSolution:
     """Solve T_q = exp(kernel at q, substituted with T times the base measure).
 
     Iterates from the constant-one family; after step s the members are
     exact to order s, because a coefficient of size s on the left only
     consumes coefficients of size below s on the right. The number of steps
-    therefore equals the truncation order.
+    therefore equals the truncation order. The result is cached on the
+    family's identity, so the suites of one verify trial share one solve.
     """
     colors, order = kernels.colors, kernels.order
     current = FamilySeries.constant(colors, order, 1)
@@ -174,9 +178,32 @@ def finite_matrix_determinant(
 def _pinned_exponential(
     kernels: KernelFamily, q_tuple: Sequence[str], order: int
 ) -> TruncatedSeries:
-    """exp of the sum of the kernels pinned at the tuple's colors, to ``order``."""
-    summed = reduce(add, (_truncate(kernels.series_at(q), order) for q in q_tuple))
+    """exp of the sum of the kernels pinned at the tuple's colors, to ``order``.
+
+    Only the tuple's color multiset matters. The result is cached on it, the
+    order and the family's identity, so the per-key queries and the suites of
+    one verify trial share each exponential.
+    """
+    return _exponential_of_pins(kernels, canonical_key(q_tuple), order)
+
+
+@lru_cache(maxsize=64)
+def _exponential_of_pins(
+    kernels: KernelFamily, pins: tuple[str, ...], order: int
+) -> TruncatedSeries:
+    summed = reduce(add, (_truncate(kernels.series_at(q), order) for q in pins))
     return exponential(summed)
+
+
+def _pinned_key(kernels: KernelFamily, q_tuple: Sequence[str]) -> tuple[str, ...]:
+    """The canonical key of a pinned tuple, checked against the family."""
+    n = len(q_tuple)
+    if n < 1:
+        raise ValueError("the pinned tuple must be non-empty")
+    if n > kernels.order:
+        raise KeyTooLarge(f"tuple of size {n} exceeds order {kernels.order}")
+    kernels.colors.require(q_tuple)
+    return canonical_key(q_tuple)
 
 
 def lagrange_good_coefficient(
@@ -186,20 +213,17 @@ def lagrange_good_coefficient(
 
     Returns the coefficient at ``q_tuple`` of phi times the exponential of
     the kernels pinned at the tuple's colors times the Fredholm determinant.
-    The exponential factor depends on the tuple and is rebuilt per query,
-    truncated at the tuple's size; the first-block recurrence of
-    :func:`exponential` keeps that rebuild polynomial in the size.
+    The coefficient is read by a split sum over the sub-multisets of the
+    tuple, so each factor is read only there and no product is formed. The
+    exponential factor depends on the tuple's colors and is cached on them.
     """
-    n = len(q_tuple)
-    if n < 1:
-        raise ValueError("the pinned tuple must be non-empty")
-    if n > kernels.order:
-        raise KeyTooLarge(f"tuple of size {n} exceeds order {kernels.order}")
-    kernels.colors.require(q_tuple)
-    pinned_exp = _pinned_exponential(kernels, q_tuple, n)
-    det = _truncate(fredholm_determinant(kernels), n)
-    prod_series = multiply(multiply(_truncate(phi, n), pinned_exp), det)
-    return prod_series.coefficient(q_tuple)
+    key = _pinned_key(kernels, q_tuple)
+    if phi.colors != kernels.colors:
+        raise ColorSetMismatch(f"{phi.colors.names} vs {kernels.colors.names}")
+    if phi.order < len(key):
+        raise OrderMismatch(f"phi of order {phi.order} read at size {len(key)}")
+    pinned_exp = _pinned_exponential(kernels, key, len(key))
+    return _split_sum((phi, pinned_exp, fredholm_determinant(kernels)), key)
 
 
 def magic_sum(kernels: KernelFamily, q_tuple: Sequence[str]) -> Fraction:
@@ -207,26 +231,13 @@ def magic_sum(kernels: KernelFamily, q_tuple: Sequence[str]) -> Fraction:
 
     Splits the tuple's positions into a subset fed to the pinned exponential
     and a complement fed to the Fredholm determinant, and sums the products
-    of the corresponding coefficients over all subsets.
+    of the corresponding coefficients over all splits: the coefficient of
+    their product at the tuple, read by the same split sum as
+    :func:`lagrange_good_coefficient`.
     """
-    n = len(q_tuple)
-    if n < 1:
-        raise ValueError("the pinned tuple must be non-empty")
-    kernels.colors.require(q_tuple)
-    pinned_exp = _pinned_exponential(kernels, q_tuple, n)
-    det = _truncate(fredholm_determinant(kernels), n)
-    positions = range(n)
-    total = Fraction(0)
-    for size in range(n + 1):
-        for chosen in combinations(positions, size):
-            left = pinned_exp.coefficient(tuple(q_tuple[p] for p in chosen))
-            if not left:
-                continue
-            right = det.coefficient(
-                tuple(q_tuple[p] for p in positions if p not in chosen)
-            )
-            total += left * right
-    return total
+    key = _pinned_key(kernels, q_tuple)
+    pinned_exp = _pinned_exponential(kernels, key, len(key))
+    return _split_sum((pinned_exp, fredholm_determinant(kernels)), key)
 
 
 def inverse_via_determinant(

@@ -258,14 +258,11 @@ def multiply(k: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(k.colors, k.order, _product(k.table, g.table, k.order))
 
 
-def _first_block_splits(key: Key) -> Iterator[tuple[Key, Key, int]]:
-    # Every sub-multiset S of key holding key[0], with its complement and the
-    # number of position subsets realizing S that contain the first position:
-    # C(n_c0 - 1, s_c0 - 1) * prod_{c != c0} C(n_c, s_c).
+def _splits(key: Key) -> Iterator[tuple[Key, Key, int]]:
+    # Every sub-multiset S of a canonical key, with its complement and the
+    # number prod_c C(n_c, s_c) of position subsets realizing S.
     runs = [(color, len(tuple(run))) for color, run in groupby(key)]
-    first = runs[0][1]
-    ranges = [range(1, first + 1)] + [range(m + 1) for _, m in runs[1:]]
-    for sizes in product(*ranges):
+    for sizes in product(*(range(m + 1) for _, m in runs)):
         part: Key = ()
         rest: Key = ()
         weight = 1
@@ -273,8 +270,27 @@ def _first_block_splits(key: Key) -> Iterator[tuple[Key, Key, int]]:
             part += (color,) * s
             rest += (color,) * (m - s)
             weight *= comb(m, s)
-        # C(n - 1, s - 1) = C(n, s) * s / n for the first color
-        yield part, rest, weight * sizes[0] // first
+        yield part, rest, weight
+
+
+def _split_sum(factors: Sequence[TruncatedSeries], key: Key) -> Fraction:
+    """Coefficient at a canonical key of the product of ``factors``, read directly.
+
+    The product's coefficient is a sum over the ways of handing the key's
+    positions to the factors. Shares of the first factor with the same
+    colors give equal terms, so the sum runs over the sub-multisets S of the
+    key, weighted by prod_c C(n_c, s_c), and recurses on the rest. Only
+    coefficients at sub-multisets of the key are read; no product is formed.
+    """
+    first, *rest = factors
+    if not rest:
+        return first.table.get(key, Fraction(0))
+    total = Fraction(0)
+    for part, remainder, weight in _splits(key):
+        value = first.table.get(part)
+        if value is not None:
+            total += weight * value * _split_sum(rest, remainder)
+    return total
 
 
 def exponential(k: TruncatedSeries) -> TruncatedSeries:
@@ -294,8 +310,10 @@ def exponential(k: TruncatedSeries) -> TruncatedSeries:
     for n in range(1, k.order + 1):
         for key in combinations_with_replacement(support, n):
             total = Fraction(0)
-            for part, rest, weight in _first_block_splits(key):
-                value = k.table.get(part)
+            # the blocks holding the first position are that position plus
+            # any sub-multiset of the other positions
+            for part, rest, weight in _splits(key[1:]):
+                value = k.table.get(key[:1] + part)
                 if value is not None and rest in out:
                     total += weight * value * out[rest]
             if total:
@@ -482,7 +500,8 @@ def compose_measure(gamma: MeasureSeries, family: FamilySeries) -> MeasureSeries
     ``gamma`` must carry its density family. With gamma = G times the base
     measure and the substituted measure K = F times the base measure, the
     result is the measure with density q -> (G_q composed with K) times F_q,
-    again in radon form.
+    again in radon form. The compositions substitute the same family, so
+    they share one table of its monomials, as the tree fixed point does.
     """
     if gamma.density is None:
         raise ValueError("compose_measure needs a measure series carrying its density")
@@ -490,9 +509,15 @@ def compose_measure(gamma: MeasureSeries, family: FamilySeries) -> MeasureSeries
         raise ColorSetMismatch("measure and family over different color sets")
     if gamma.order != family.order:
         raise OrderMismatch("measure and family with different orders")
+    monomials = _Monomials(family, gamma.order)  # shared by every color
     members = {
         q: multiply(
-            compose_family(gamma.density.members[q], family), family.members[q]
+            TruncatedSeries(
+                gamma.colors,
+                gamma.order,
+                _compose_table(gamma.density.members[q], monomials),
+            ),
+            family.members[q],
         )
         for q in gamma.colors.names
     }
@@ -512,8 +537,9 @@ class KernelFamily:
     coefficient of every pinned series vanishes by construction.
 
     A family hashes by identity, so the package's caches (the Fredholm
-    determinant, the tree sums of :mod:`combinat`) key on the object: build
-    it once and do not mutate its tables afterwards.
+    determinant, the tree solution, the pinned exponentials, the tree and
+    map sums of :mod:`combinat`) key on the object: build it once and do not
+    mutate its tables afterwards.
     """
 
     colors: ColorSet

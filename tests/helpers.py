@@ -10,12 +10,22 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, permutations, product
 
 from lagrange_forest.combinat import EnrichedMap
-from lagrange_forest.series import ColorSet, TruncatedSeries, all_keys
+from lagrange_forest.series import ColorSet, TruncatedSeries, all_keys, multiply
 
 POOL = (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(2))
+
+# mixed denominators, a zero, and one value above 2**64
+PRODUCT_POOL = (
+    Fraction(1, 3),
+    Fraction(-2, 7),
+    Fraction(5, 12),
+    Fraction(0),
+    Fraction(5 * 2**64 + 1, 3),
+)
 
 
 def series_from(colors: ColorSet, order: int, table: dict) -> TruncatedSeries:
@@ -43,6 +53,15 @@ def product_oracle(k: TruncatedSeries, g: TruncatedSeries, key: tuple) -> Fracti
             right = g.coefficient(tuple(key[p] for p in range(n) if p not in chosen))
             total += left * right
     return total
+
+
+def folded_product_coefficient(factors, key: tuple) -> Fraction:
+    """Coefficient at key of the full truncated product of the factors.
+
+    Folds the factors with ``multiply`` and reads one coefficient of the
+    result: the reading that a direct split sum over the key replaces.
+    """
+    return reduce(multiply, factors).coefficient(key)
 
 
 def enriched_count_oracle(n_vertices: int, sinks: tuple) -> int:

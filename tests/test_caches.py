@@ -1,12 +1,18 @@
-"""The package's caches: every one is bounded, and the determinant is shared."""
+"""The package's caches: every one is bounded, and a verify trial shares them."""
 
 import importlib
 import pkgutil
+from math import comb
 
 import pytest
 
 import lagrange_forest
-from lagrange_forest import enumerate_crowns, enumerate_enriched_maps, fredholm_determinant
+from lagrange_forest import (
+    enumerate_crowns,
+    enumerate_enriched_maps,
+    fredholm_determinant,
+    solve_tree_fixed_point,
+)
 from lagrange_forest.combinat import (
     _crowns,
     _enriched_maps,
@@ -15,6 +21,7 @@ from lagrange_forest.combinat import (
 )
 from lagrange_forest.cli import dump_document, main
 from lagrange_forest.harness import SuiteConfig, run_suite
+from lagrange_forest.inversion import _exponential_of_pins
 
 
 def test_invert_det_computes_one_determinant(tmp_path):
@@ -46,6 +53,27 @@ def test_verify_trial_computes_one_determinant():
     assert fredholm_determinant.cache_info().misses == 2
 
 
+def test_verify_trial_solves_the_trial_family_once():
+    # lagrange-good and round-trip share the trial family's solve; the
+    # univariate suite solves its own one-color family
+    solve_tree_fixed_point.cache_clear()
+    run_suite("all", SuiteConfig(seed=1, colors=3, order=5, trials=1))
+    info = solve_tree_fixed_point.cache_info()
+    assert info.misses == 2
+    assert info.hits >= 1
+
+
+def test_verify_trial_builds_each_pinned_exponential_once():
+    # lagrange-good pins every color multiset of size 1..4, 34 of them over
+    # three colors; magic and the species suite pin only these again
+    _exponential_of_pins.cache_clear()
+    run_suite("all", SuiteConfig(seed=1, colors=3, order=5, trials=1))
+    info = _exponential_of_pins.cache_info()
+    distinct = sum(comb(n + 2, n) for n in range(1, 5))  # 3 + 6 + 10 + 15
+    assert info.misses == distinct
+    assert info.hits >= distinct
+
+
 def test_every_cache_is_bounded():
     found = {}
     for module in pkgutil.iter_modules(lagrange_forest.__path__):
@@ -58,7 +86,10 @@ def test_every_cache_is_bounded():
         "combinat._rooted_trees",
         "combinat._crowns",
         "combinat._tree_sum",
+        "combinat._map_sum",
         "inversion.fredholm_determinant",
+        "inversion.solve_tree_fixed_point",
+        "inversion._exponential_of_pins",
     } <= set(found)
     assert all(maxsize is not None for maxsize in found.values()), found
 

@@ -1,10 +1,13 @@
 """Enumeration of partitions, enriched maps, trees, and crowns, with weights."""
 
+import random
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
 from helpers import (
+    POOL,
     bell_number,
     connected_components,
     enriched_count_oracle,
@@ -371,6 +374,47 @@ def test_exp_coefficient_single_loop():
 def test_exp_coefficient_empty_selection_is_one():
     kernels = make_kernel_family(AB, 2, [("a", ("a",), 1)])
     assert exp_coefficient_via_maps(("a", "b"), (), kernels) == 1
+
+
+def _direct_map_sum(q_tuple, picked, kernels):
+    # every enriched map with domain picked and the other positions as sinks
+    if not picked:
+        return Fraction(1)
+    positions = range(1, len(q_tuple) + 1)
+    sinks = [i for i in positions if i not in picked]
+    coloring = {i: q_tuple[i - 1] for i in positions}
+    return sum(
+        (map_weight(m, coloring, kernels) for m in enumerate_enriched_maps(picked, sinks)),
+        Fraction(0),
+    )
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_exp_coefficient_matches_direct_map_sums(d):
+    # the oracle keeps one sum per pair of domain and sink color multisets;
+    # each must equal the map-by-map sum for the tuple it is asked about
+    rng = random.Random(f"maps:{d}")
+    colors = ColorSet(tuple("abc"[:d]))
+    entries = [
+        (q, key, rng.choice(POOL))
+        for q in colors.names
+        for n in range(1, 6)
+        for key in combinations_with_replacement(colors.names, n)
+    ]
+    kernels = make_kernel_family(colors, 5, entries)
+    # tuples of one size share domain multisets with different sinks
+    for n in (1, 2, 3, 4) * 3 + (5,):
+        q_tuple = tuple(rng.choice(colors.names) for _ in range(n))
+        order = list(range(n))
+        rng.shuffle(order)
+        permuted = tuple(q_tuple[i] for i in order)
+        moved = {i + 1: order.index(i) + 1 for i in range(n)}  # old position -> new
+        for size in range(n + 1):
+            for picked in combinations(range(1, n + 1), size):
+                want = _direct_map_sum(q_tuple, picked, kernels)
+                assert exp_coefficient_via_maps(q_tuple, picked, kernels) == want
+                moved_picked = [moved[i] for i in picked]
+                assert exp_coefficient_via_maps(permuted, moved_picked, kernels) == want
 
 
 def test_det_coefficient_single_color():

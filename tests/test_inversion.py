@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import reduce
 from math import factorial
 
 import pytest
@@ -31,6 +32,7 @@ from lagrange_forest.inversion import (
 from lagrange_forest.series import (
     FamilySeries,
     KernelFamily,
+    add,
     all_keys,
     compose_family,
     constant_series,
@@ -41,7 +43,7 @@ from lagrange_forest.series import (
     variational_derivative,
 )
 
-from helpers import fredholm_oracle
+from helpers import PRODUCT_POOL, folded_product_coefficient, fredholm_oracle, series_from
 
 A = ColorSet(("a",))
 AB = ColorSet(("a", "b"))
@@ -271,6 +273,27 @@ def test_magic_sum_random_instances():
         for key in all_keys(AB, 4):
             if key:
                 assert magic_sum(kernels, key) == 0
+
+
+@pytest.mark.parametrize("d,order", [(1, 7), (2, 6), (3, 5)])
+def test_split_sum_reads_match_folded_products(d, order):
+    # both queries read one coefficient of a product by a split sum; the
+    # full products, folded with multiply, must give the same value at
+    # every key
+    rng = random.Random(f"split:{d}")
+    colors = ColorSet(tuple("abc"[:d]))
+    keys = [key for key in all_keys(colors, order) if key]
+    entries = [(q, key, rng.choice(PRODUCT_POOL)) for q in colors.names for key in keys]
+    kernels = make_kernel_family(colors, order, entries)
+    phi = series_from(
+        colors, order, {key: rng.choice(PRODUCT_POOL) for key in all_keys(colors, order)}
+    )
+    det = fredholm_determinant(kernels)
+    for key in keys:
+        pinned_exp = exponential(reduce(add, (kernels.series_at(q) for q in key)))
+        want = folded_product_coefficient((phi, pinned_exp, det), key)
+        assert lagrange_good_coefficient(kernels, phi, key) == want, key
+        assert magic_sum(kernels, key) == folded_product_coefficient((pinned_exp, det), key), key
 
 
 # ---------------------------------------------------------------------------

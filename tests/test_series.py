@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     POOL,
+    PRODUCT_POOL,
     compose_oracle,
     exponential_oracle,
     multiply_many,
@@ -536,16 +537,6 @@ def random_dense_series(d: int, order: int, seed: str, constant: bool = True):
     colors = ColorSet(tuple("abc"[:d]))
     table = {key: rng.choice(POOL) for key in all_keys(colors, order) if key or constant}
     return series_from(colors, order, table)
-
-
-# mixed denominators, a zero, and one value above 2**64
-PRODUCT_POOL = (
-    Fraction(1, 3),
-    Fraction(-2, 7),
-    Fraction(5, 12),
-    Fraction(0),
-    Fraction(5 * 2**64 + 1, 3),
-)
 
 
 @pytest.mark.parametrize("d,order", ORACLE_GRID)
