@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 from .errors import BlockTooLarge, SizeCapExceeded
 
 if TYPE_CHECKING:
-    from .series import KernelFamily
+    from .series import FamilySeries
 
 #: Most vertices (domain plus sinks) or elements an enumeration accepts. The
 #: number of enriched maps grows super-exponentially with the vertex count:
@@ -164,7 +164,7 @@ def enumerate_enriched_maps(domain: Iterable[int], sinks: Iterable[int] = ()) ->
 # weights
 
 
-def map_weight(m: EnrichedMap, coloring: Coloring, kernels: "KernelFamily") -> Fraction:
+def map_weight(m: EnrichedMap, coloring: Coloring, kernels: "FamilySeries") -> Fraction:
     """Product over fiber blocks of the kernel value at the block's colors.
 
     ``coloring`` must assign a color to every vertex, domain and sinks
@@ -233,7 +233,7 @@ def tree_coefficient(
     n: int,
     root_color: str,
     leaf_colors: Sequence[str],
-    kernels: "KernelFamily",
+    kernels: "FamilySeries",
 ) -> Fraction:
     """Sum of weights over all enriched rooted trees on ``n`` labelled vertices.
 
@@ -253,7 +253,7 @@ def tree_coefficient(
 
 
 @lru_cache(maxsize=256)
-def _tree_sum(root_color: str, leaves: tuple[str, ...], kernels: "KernelFamily") -> Fraction:
+def _tree_sum(root_color: str, leaves: tuple[str, ...], kernels: "FamilySeries") -> Fraction:
     coloring = {0: root_color, **dict(enumerate(leaves, start=1))}
     total = Fraction(0)
     for tree in _rooted_trees(tuple(range(1, len(leaves) + 1)), 0):
@@ -312,7 +312,7 @@ def enumerate_crowns(domain: Iterable[int]) -> list[EnrichedMap]:
 def exp_coefficient_via_maps(
     q_tuple: Sequence[str],
     picked: Iterable[int],
-    kernels: "KernelFamily",
+    kernels: "FamilySeries",
 ) -> Fraction:
     """Coefficient of the pinned exponential, summed over enriched maps.
 
@@ -340,7 +340,7 @@ def exp_coefficient_via_maps(
 
 @lru_cache(maxsize=256)
 def _map_sum(
-    domain_colors: tuple[str, ...], sink_colors: tuple[str, ...], kernels: "KernelFamily"
+    domain_colors: tuple[str, ...], sink_colors: tuple[str, ...], kernels: "FamilySeries"
 ) -> Fraction:
     # vertices 1..k form the domain and k+1..n the sinks, colored in order
     k, n = len(domain_colors), len(domain_colors) + len(sink_colors)
@@ -351,7 +351,7 @@ def _map_sum(
     return total
 
 
-def det_coefficient_via_crowns(q_tuple: Sequence[str], kernels: "KernelFamily") -> Fraction:
+def det_coefficient_via_crowns(q_tuple: Sequence[str], kernels: "FamilySeries") -> Fraction:
     """Determinant coefficient as a signed sum over assemblies of crowns.
 
     Partitions the positions 1..k into groups, places a crown on each group,
@@ -379,7 +379,7 @@ def det_coefficient_via_crowns(q_tuple: Sequence[str], kernels: "KernelFamily") 
 def forest_coefficient(
     q_tuple: Sequence[str],
     roots: Iterable[int],
-    kernels: "KernelFamily",
+    kernels: "FamilySeries",
 ) -> Fraction:
     """Sum over forests of rooted trees with the given root positions.
 

@@ -33,9 +33,10 @@ from .inversion import (
 from .reports import IdentityReport, first_mismatch
 from .series import (
     ColorSet,
-    KernelFamily,
+    FamilySeries,
     TruncatedSeries,
     all_keys,
+    canonical_key,
     compose_family,
     make_kernel_family,
     make_series,
@@ -76,7 +77,7 @@ def _trial_seed(seed: int, trial: int) -> int:
     return seed * 1_000_003 + trial
 
 
-def random_kernel_family(cfg: SuiteConfig) -> KernelFamily:
+def random_kernel_family(cfg: SuiteConfig) -> FamilySeries:
     """Kernel family with pool-valued coefficients; a pure function of the seed."""
     rng = random.Random(f"kernel:{cfg.seed}")
     names = cfg.color_names
@@ -109,7 +110,7 @@ def _pinned_tuples(cfg: SuiteConfig) -> Iterable[tuple[str, ...]]:
         yield from combinations_with_replacement(names, n)
 
 
-def _suite_lagrange_good(cfg: SuiteConfig, kernels: KernelFamily) -> list[IdentityReport]:
+def _suite_lagrange_good(cfg: SuiteConfig, kernels: FamilySeries) -> list[IdentityReport]:
     phi = random_series(cfg)
     composed = compose_family(phi, solve_tree_fixed_point(kernels).tree_factors)
     cases = (
@@ -119,16 +120,16 @@ def _suite_lagrange_good(cfg: SuiteConfig, kernels: KernelFamily) -> list[Identi
     return [first_mismatch("lagrange-good", cases)]
 
 
-def _suite_magic(cfg: SuiteConfig, kernels: KernelFamily) -> list[IdentityReport]:
+def _suite_magic(cfg: SuiteConfig, kernels: FamilySeries) -> list[IdentityReport]:
     cases = ((q, 0, magic_sum(kernels, q)) for q in _pinned_tuples(cfg))
     return [first_mismatch("magic", cases)]
 
 
-def _suite_round_trip(cfg: SuiteConfig, kernels: KernelFamily) -> list[IdentityReport]:
+def _suite_round_trip(cfg: SuiteConfig, kernels: FamilySeries) -> list[IdentityReport]:
     return [round_trip_check(kernels)]
 
 
-def _suite_species(cfg: SuiteConfig, kernels: KernelFamily) -> list[IdentityReport]:
+def _suite_species(cfg: SuiteConfig, kernels: FamilySeries) -> list[IdentityReport]:
     rng = random.Random(f"species:{cfg.seed}")
     cap = min(cfg.max_tuple, 4, cfg.order)
     q_tuples = [tuple(rng.choice(cfg.color_names) for _ in range(n)) for n in range(1, cap + 1)]
@@ -145,10 +146,10 @@ def _suite_species(cfg: SuiteConfig, kernels: KernelFamily) -> list[IdentityRepo
     ]
 
 
-def _exp_cases(q_tuples: list[tuple[str, ...]], kernels: KernelFamily):
+def _exp_cases(q_tuples: list[tuple[str, ...]], kernels: FamilySeries):
     for q_tuple in q_tuples:
         n = len(q_tuple)
-        exp_series = _pinned_exponential(kernels, q_tuple, n)
+        exp_series = _pinned_exponential(kernels, canonical_key(q_tuple), n)
         for size in range(n + 1):
             for picked in combinations(range(1, n + 1), size):
                 want = exp_series.coefficient(tuple(q_tuple[i - 1] for i in picked))
@@ -156,7 +157,7 @@ def _exp_cases(q_tuples: list[tuple[str, ...]], kernels: KernelFamily):
                 yield q_tuple, want, got, {"picked": picked}
 
 
-def _forest_cases(q_tuples: list[tuple[str, ...]], kernels: KernelFamily):
+def _forest_cases(q_tuples: list[tuple[str, ...]], kernels: FamilySeries):
     """Maps on a domain factor into forests on the roots times maps into the rest."""
     for q_tuple in q_tuples:
         for split in _three_way_splits(tuple(range(1, len(q_tuple) + 1))):
@@ -199,7 +200,7 @@ def _rebase(
 
 
 def _suite_determinant_reduction(
-    cfg: SuiteConfig, kernels: KernelFamily
+    cfg: SuiteConfig, kernels: FamilySeries
 ) -> list[IdentityReport]:
     rng = random.Random(f"detred:{cfg.seed}")
     names = cfg.color_names
@@ -214,7 +215,7 @@ def _suite_determinant_reduction(
     return [first_mismatch("determinant-reduction", cases, subset=subset)]
 
 
-def _suite_univariate(cfg: SuiteConfig, kernels: KernelFamily) -> list[IdentityReport]:
+def _suite_univariate(cfg: SuiteConfig, kernels: FamilySeries) -> list[IdentityReport]:
     # draws its own one-color kernel; the trial's family is not used
     rng = random.Random(f"univariate:{cfg.seed}")
     kernel_coeffs = [rng.choice(POOL) for _ in range(cfg.order)]
@@ -222,7 +223,7 @@ def _suite_univariate(cfg: SuiteConfig, kernels: KernelFamily) -> list[IdentityR
     return [univariate_lagrange_check(kernel_coeffs, outer_coeffs, cfg.order)]
 
 
-_SUITES: dict[str, Callable[[SuiteConfig, KernelFamily], list[IdentityReport]]] = {
+_SUITES: dict[str, Callable[[SuiteConfig, FamilySeries], list[IdentityReport]]] = {
     "lagrange-good": _suite_lagrange_good,
     "magic": _suite_magic,
     "round-trip": _suite_round_trip,

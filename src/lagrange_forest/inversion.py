@@ -9,10 +9,12 @@ finite matrix over a color subset, by the trace formula
 det(Id - L) = exp(-sum_m tr(L^m) / m). The cancellation between the two
 routes can be checked exactly.
 
-Every function takes the :class:`KernelFamily` itself. What several
-queries or suites read again for one family (the Fredholm determinant, the
-tree solution and the pinned exponentials) sits in bounded ``lru_cache``s
-keyed on the family's identity.
+Every function takes the kernel family itself, a
+:class:`~lagrange_forest.series.FamilySeries` whose member at q is the
+kernel pinned at q. What several queries or suites read again for one
+family (the Fredholm determinant, the tree solution and the pinned
+exponentials) sits in bounded ``lru_cache``s keyed on the family's
+identity.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .reports import IdentityReport, first_mismatch, report_fail, report_pass
 from .series import (
     ColorSet,
     FamilySeries,
-    KernelFamily,
     MeasureSeries,
     TruncatedSeries,
     _Monomials,
@@ -70,16 +71,16 @@ def _truncate(k: TruncatedSeries, new_order: int) -> TruncatedSeries:
     return TruncatedSeries(k.colors, new_order, table)
 
 
-def forward_measure(kernels: KernelFamily) -> MeasureSeries:
+def forward_measure(kernels: FamilySeries) -> MeasureSeries:
     """The measure series being inverted: base measure times exp(-kernel)."""
     members = {
-        q: exponential(scale(kernels.series_at(q), -1)) for q in kernels.colors.names
+        q: exponential(scale(kernels.members[q], -1)) for q in kernels.colors.names
     }
     return radon_lift(FamilySeries(kernels.colors, kernels.order, members))
 
 
 @lru_cache(maxsize=4)
-def solve_tree_fixed_point(kernels: KernelFamily) -> TreeSolution:
+def solve_tree_fixed_point(kernels: FamilySeries) -> TreeSolution:
     """Solve T_q = exp(kernel at q, substituted with T times the base measure).
 
     Iterates from the constant-one family; after step s the members are
@@ -97,14 +98,14 @@ def solve_tree_fixed_point(kernels: KernelFamily) -> TreeSolution:
             exponent = TruncatedSeries(
                 colors,
                 order,
-                _compose_table(kernels.series_at(q), monomials),
+                _compose_table(kernels.members[q], monomials),
             )
             members[q] = exponential(exponent)
         current = FamilySeries(colors, order, members)
     return TreeSolution(tree_factors=current, inverse=radon_lift(current))
 
 
-def _determinant(kernels: KernelFamily, labels: Sequence[str]) -> TruncatedSeries:
+def _determinant(kernels: FamilySeries, labels: Sequence[str]) -> TruncatedSeries:
     """det(Id - L) for the matrix L indexed by ``labels``.
 
     Entry (q, q') of L is the atom series at q times the kernel at q
@@ -121,7 +122,7 @@ def _determinant(kernels: KernelFamily, labels: Sequence[str]) -> TruncatedSerie
                 TruncatedSeries(
                     colors,
                     order,
-                    variational_derivative(kernels.series_at(q), (qp,)).table,
+                    variational_derivative(kernels.members[q], (qp,)).table,
                 ),
             )
             for qp in labels
@@ -146,7 +147,7 @@ def _determinant(kernels: KernelFamily, labels: Sequence[str]) -> TruncatedSerie
 
 
 @lru_cache(maxsize=4)
-def fredholm_determinant(kernels: KernelFamily) -> TruncatedSeries:
+def fredholm_determinant(kernels: FamilySeries) -> TruncatedSeries:
     """Truncated Fredholm determinant of the derivative-kernel operator.
 
     Over a finite color set this is det(Id - L) for the derivative-kernel
@@ -159,7 +160,7 @@ def fredholm_determinant(kernels: KernelFamily) -> TruncatedSeries:
 
 
 def finite_matrix_determinant(
-    kernels: KernelFamily, subset: Iterable[str]
+    kernels: FamilySeries, subset: Iterable[str]
 ) -> TruncatedSeries:
     """Determinant of the finite matrix indexed by a set of colors Q.
 
@@ -175,27 +176,21 @@ def finite_matrix_determinant(
     return _determinant(kernels, labels)
 
 
-def _pinned_exponential(
-    kernels: KernelFamily, q_tuple: Sequence[str], order: int
-) -> TruncatedSeries:
-    """exp of the sum of the kernels pinned at the tuple's colors, to ``order``.
-
-    Only the tuple's color multiset matters. The result is cached on it, the
-    order and the family's identity, so the per-key queries and the suites of
-    one verify trial share each exponential.
-    """
-    return _exponential_of_pins(kernels, canonical_key(q_tuple), order)
-
-
 @lru_cache(maxsize=64)
-def _exponential_of_pins(
-    kernels: KernelFamily, pins: tuple[str, ...], order: int
+def _pinned_exponential(
+    kernels: FamilySeries, pins: tuple[str, ...], order: int
 ) -> TruncatedSeries:
-    summed = reduce(add, (_truncate(kernels.series_at(q), order) for q in pins))
+    """exp of the sum of the kernels pinned at ``pins``, to ``order``.
+
+    ``pins`` is a canonical key, so the result is cached on the color
+    multiset, the order and the family's identity, and the per-key queries
+    and the suites of one verify trial share each exponential.
+    """
+    summed = reduce(add, (_truncate(kernels.members[q], order) for q in pins))
     return exponential(summed)
 
 
-def _pinned_key(kernels: KernelFamily, q_tuple: Sequence[str]) -> tuple[str, ...]:
+def _pinned_key(kernels: FamilySeries, q_tuple: Sequence[str]) -> tuple[str, ...]:
     """The canonical key of a pinned tuple, checked against the family."""
     n = len(q_tuple)
     if n < 1:
@@ -207,7 +202,7 @@ def _pinned_key(kernels: KernelFamily, q_tuple: Sequence[str]) -> tuple[str, ...
 
 
 def lagrange_good_coefficient(
-    kernels: KernelFamily, phi: TruncatedSeries, q_tuple: Sequence[str]
+    kernels: FamilySeries, phi: TruncatedSeries, q_tuple: Sequence[str]
 ) -> Fraction:
     """Coefficient of the composed observable, via the determinant formula.
 
@@ -226,7 +221,7 @@ def lagrange_good_coefficient(
     return _split_sum((phi, pinned_exp, fredholm_determinant(kernels)), key)
 
 
-def magic_sum(kernels: KernelFamily, q_tuple: Sequence[str]) -> Fraction:
+def magic_sum(kernels: FamilySeries, q_tuple: Sequence[str]) -> Fraction:
     """The cancellation sum behind the determinant formula; must be zero.
 
     Splits the tuple's positions into a subset fed to the pinned exponential
@@ -241,7 +236,7 @@ def magic_sum(kernels: KernelFamily, q_tuple: Sequence[str]) -> Fraction:
 
 
 def inverse_via_determinant(
-    kernels: KernelFamily, subset: Iterable[str], q_tuple: Sequence[str]
+    kernels: FamilySeries, subset: Iterable[str], q_tuple: Sequence[str]
 ) -> Fraction:
     """Coefficient of the inverse measure on a color subset, determinant route."""
     phi = indicator_series(kernels.colors, kernels.order, subset)
@@ -253,7 +248,7 @@ def identity_measure(colors: ColorSet, order: int) -> MeasureSeries:
     return radon_lift(FamilySeries.constant(colors, order, 1))
 
 
-def round_trip_check(kernels: KernelFamily) -> IdentityReport:
+def round_trip_check(kernels: FamilySeries) -> IdentityReport:
     """Both compositions of the forward and inverse series must be the identity."""
     solution = solve_tree_fixed_point(kernels)
     forward = forward_measure(kernels)
@@ -338,7 +333,7 @@ def _u_pow(a: Sequence[Fraction], exponent: int, order: int) -> list[Fraction]:
 UNIVARIATE_COLOR = "x"
 
 
-def univariate_kernels(kernel_coeffs: Sequence) -> KernelFamily:
+def univariate_kernels(kernel_coeffs: Sequence) -> FamilySeries:
     """Single-color kernel family with values taken from a coefficient list.
 
     ``kernel_coeffs[i]`` is the size-(i+1) kernel coefficient in the

@@ -7,10 +7,10 @@ permutation of its colors. All operations truncate silently at the series
 order, which is sound because a coefficient of a given size never depends
 on larger coefficients of the inputs.
 
-Function-valued series are families with one member series per color;
-measure-valued series store, per color, the coefficient table of the atom
-at that color, and usually also carry the density family they were lifted
-from.
+Function-valued series are families with one member series per color. A
+kernel family is such a family, with vanishing constant terms, and a
+measure-valued series is one too: its member at a color is the atom at
+that color, and it carries the density family it was lifted from.
 
 Every kernel is polynomial in the number of keys: a product convolves the
 monomial coefficients f[key] / prod_c n_c! in integers, over the pairs of
@@ -24,7 +24,7 @@ set partitions.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, groupby, product
 from math import comb, factorial, lcm
@@ -219,14 +219,16 @@ def _monomial_rows(
     return scaled, den
 
 
-def _product(
-    a: dict[Key, Fraction], b: dict[Key, Fraction], max_size: int
+def _convolve(
+    a: tuple[list[tuple[Key, int]], int],
+    b: tuple[list[tuple[Key, int]], int],
+    max_size: int,
 ) -> dict[Key, Fraction]:
-    # Convolution of monomial coefficients in integers: only the pairs whose
-    # sizes fit max_size are visited, and each sum is turned back into a
+    # Convolution of monomial rows in integers: only the pairs whose sizes
+    # fit max_size are visited, and each sum is turned back into a
     # symmetric-function value once.
-    rows_a, den_a = _monomial_rows(a, max_size)
-    rows_b, den_b = _monomial_rows(b, max_size)
+    rows_a, den_a = a
+    rows_b, den_b = b
     sums: dict[Key, int] = {}
     for key_a, na in rows_a:
         room = max_size - len(key_a)
@@ -255,7 +257,8 @@ def multiply(k: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     order are visited, and each sum becomes a rational once.
     """
     _check_pair(k, g)
-    return TruncatedSeries(k.colors, k.order, _product(k.table, g.table, k.order))
+    rows = (_monomial_rows(k.table, k.order), _monomial_rows(g.table, k.order))
+    return TruncatedSeries(k.colors, k.order, _convolve(*rows, k.order))
 
 
 def _splits(key: Key) -> Iterator[tuple[Key, Key, int]]:
@@ -350,13 +353,23 @@ def variational_derivative(k: TruncatedSeries, pins: Sequence[str]) -> Truncated
 # function-valued and measure-valued series
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FamilySeries:
-    """One scalar series per color: a function-valued series, finitely many colors."""
+    """One scalar series per color: a function-valued series, finitely many colors.
+
+    A kernel family is one with vanishing constant terms, ``members[q]``
+    being the kernel pinned at q. A family hashes by identity, so the
+    package's caches (the Fredholm determinant, the tree solution, the
+    pinned exponentials, the tree and map sums of :mod:`combinat`) key on
+    the object: build it once and do not mutate its members afterwards.
+    Equality compares the class, the colors, the order and the members.
+    """
 
     colors: ColorSet
     order: int
     members: dict[str, TruncatedSeries]
+
+    __hash__ = object.__hash__
 
     def __post_init__(self) -> None:
         if set(self.members) != set(self.colors.names):
@@ -366,6 +379,16 @@ class FamilySeries:
                 raise ColorSetMismatch("family member over a different color set")
             if member.order != self.order:
                 raise OrderMismatch("family member with a different order")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FamilySeries):
+            return NotImplemented
+        return (
+            type(self) is type(other)
+            and self.colors == other.colors
+            and self.order == other.order
+            and self.members == other.members
+        )
 
     @classmethod
     def constant(
@@ -377,28 +400,21 @@ class FamilySeries:
             {name: constant_series(colors, order, value) for name in colors.names},
         )
 
+    def value(self, q: str, xs: Sequence[str]) -> Fraction:
+        """Member at q, read at the color multiset xs."""
+        return self.members[q].table.get(canonical_key(xs), Fraction(0))
 
-@dataclass(frozen=True)
-class MeasureSeries:
+
+@dataclass(frozen=True, eq=False)
+class MeasureSeries(FamilySeries):
     """Measure-valued series over a finite color set, stored atom by atom.
 
     ``members[q]`` is the coefficient table of the atom at color q;
-    evaluating on a subset B sums the atoms over B. When the series was
-    produced as density times the base measure, ``density`` keeps that
-    family (it does not take part in equality comparisons).
+    evaluating on a subset B sums the atoms over B. ``density`` is the
+    family the series was lifted from; it takes no part in equality.
     """
 
-    colors: ColorSet
-    order: int
-    members: dict[str, TruncatedSeries]
-    density: FamilySeries | None = field(default=None, compare=False)
-
-    def __post_init__(self) -> None:
-        if set(self.members) != set(self.colors.names):
-            raise ValueError("measure series needs one atom table per color")
-        for member in self.members.values():
-            if member.colors != self.colors or member.order != self.order:
-                raise ValueError("inconsistent atom table")
+    density: FamilySeries
 
     def evaluate(self, subset: Iterable[str] | None = None) -> TruncatedSeries:
         """Sum of the atoms over a color subset (the whole set by default)."""
@@ -430,7 +446,7 @@ def radon_lift(family: FamilySeries) -> MeasureSeries:
     return MeasureSeries(family.colors, family.order, members, density=family)
 
 
-def _check_family(g: TruncatedSeries, family: FamilySeries) -> None:
+def _check_family(g: TruncatedSeries | MeasureSeries, family: FamilySeries) -> None:
     if g.colors != family.colors:
         raise ColorSetMismatch("series and family over different color sets")
     if g.order != family.order:
@@ -441,25 +457,27 @@ class _Monomials(dict):
     """Products prod_q W_q^(J_q) / J_q! by key J, for W the radon lift of a family.
 
     Each entry is built on first lookup, by one product along the key's
-    prefixes, and truncated at ``max_size``. A table can be shared by every
-    composition with the same family and truncation.
+    prefixes, and truncated at ``max_size``; the atoms' integer rows are
+    derived once per table. A table can be shared by every composition with
+    the same family and truncation.
     """
 
     def __init__(self, family: FamilySeries, max_size: int) -> None:
         super().__init__({(): {(): Fraction(1)}})
         self.max_size = max_size
-        self.atoms = {
-            q: {key: v for key, v in atom.table.items() if len(key) <= max_size}
+        self.atom_rows = {
+            q: _monomial_rows(atom.table, max_size)
             for q, atom in radon_lift(family).members.items()
         }
 
     def __missing__(self, key: Key) -> dict[Key, Fraction]:
         color = key[-1]
         share = Fraction(1, key.count(color))
+        prefix_rows = _monomial_rows(self[key[:-1]], self.max_size)
         table = {
             merged: value * share
-            for merged, value in _product(
-                self[key[:-1]], self.atoms[color], self.max_size
+            for merged, value in _convolve(
+                prefix_rows, self.atom_rows[color], self.max_size
             ).items()
         }
         self[key] = table
@@ -497,18 +515,13 @@ def compose_family(g: TruncatedSeries, family: FamilySeries) -> TruncatedSeries:
 def compose_measure(gamma: MeasureSeries, family: FamilySeries) -> MeasureSeries:
     """Substitute the measure "family times base measure" into a measure series.
 
-    ``gamma`` must carry its density family. With gamma = G times the base
-    measure and the substituted measure K = F times the base measure, the
-    result is the measure with density q -> (G_q composed with K) times F_q,
-    again in radon form. The compositions substitute the same family, so
-    they share one table of its monomials, as the tree fixed point does.
+    With gamma = G times the base measure (G is ``gamma.density``) and the
+    substituted measure K = F times the base measure, the result is the
+    measure with density q -> (G_q composed with K) times F_q, again in
+    radon form. The compositions substitute the same family, so they share
+    one table of its monomials, as the tree fixed point does.
     """
-    if gamma.density is None:
-        raise ValueError("compose_measure needs a measure series carrying its density")
-    if gamma.colors != family.colors:
-        raise ColorSetMismatch("measure and family over different color sets")
-    if gamma.order != family.order:
-        raise OrderMismatch("measure and family with different orders")
+    _check_family(gamma, family)
     monomials = _Monomials(family, gamma.order)  # shared by every color
     members = {
         q: multiply(
@@ -528,51 +541,18 @@ def compose_measure(gamma: MeasureSeries, family: FamilySeries) -> MeasureSeries
 # kernel families
 
 
-@dataclass(frozen=True, eq=False)
-class KernelFamily:
-    """Coefficient tables of the map to invert, one table per pinned color.
-
-    ``tables[q]`` maps canonical keys of size 1..order to the kernel value
-    with first argument q. Size-zero keys are forbidden: the constant
-    coefficient of every pinned series vanishes by construction.
-
-    A family hashes by identity, so the package's caches (the Fredholm
-    determinant, the tree solution, the pinned exponentials, the tree and
-    map sums of :mod:`combinat`) key on the object: build it once and do not
-    mutate its tables afterwards.
-    """
-
-    colors: ColorSet
-    order: int
-    tables: dict[str, dict[Key, Fraction]]
-
-    __hash__ = object.__hash__
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, KernelFamily):
-            return NotImplemented
-        return (
-            self.colors == other.colors
-            and self.order == other.order
-            and self.tables == other.tables
-        )
-
-    def value(self, q: str, xs: Sequence[str]) -> Fraction:
-        """Kernel value pinned at q, evaluated at the color multiset xs."""
-        return self.tables.get(q, {}).get(canonical_key(xs), Fraction(0))
-
-    def series_at(self, q: str) -> TruncatedSeries:
-        """The scalar series pinned at q (vanishing constant term)."""
-        self.colors.require((q,))
-        return TruncatedSeries(self.colors, self.order, dict(self.tables.get(q, {})))
-
-
 def make_kernel_family(
     colors: ColorSet,
     order: int,
     entries: Iterable[tuple[str, Sequence[str], RationalLike]] = (),
-) -> KernelFamily:
-    """Build a kernel family from (pinned color, key tuple, value) triples."""
+) -> FamilySeries:
+    """Build a kernel family from (pinned color, key tuple, value) triples.
+
+    The result is a :class:`FamilySeries` whose member at q is the kernel
+    pinned at q, a series over keys of size 1..order. Size-zero keys are
+    forbidden: the constant coefficient of every pinned series vanishes by
+    construction.
+    """
     if order < 1:
         raise ValueError("a kernel family needs order >= 1")
     tables: dict[str, dict[Key, Fraction]] = {name: {} for name in colors.names}
@@ -591,4 +571,5 @@ def make_kernel_family(
         value = Fraction(raw_value)
         if value:
             tables[q][key] = value
-    return KernelFamily(colors, order, tables)
+    members = {q: TruncatedSeries(colors, order, table) for q, table in tables.items()}
+    return FamilySeries(colors, order, members)

@@ -1,7 +1,9 @@
 """Command-line behavior: documents, exit codes, round trips, enumeration."""
 
+import hashlib
 import json
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -303,6 +305,65 @@ def test_invert_mismatch_exits_1(tmp_path, monkeypatch):
     result = json.loads(out.read_text())
     assert result["all_equal"] is False
     assert any(not row["equal"] for row in result["coefficients"])
+
+
+# `invert --det` stdout of two documents, recorded before the kernel family
+# became a family of series: a change of the series representation must
+# leave every byte of it alone
+GOLDEN_VALUES = ("1", "-1/2", "1/2", "-1")
+
+
+def dense_golden_doc():
+    # every key of size 1..5 over {a, b}, for both pinned colors, cycling values
+    keys = [(q, key) for q in "ab" for n in range(1, 6) for key in combinations_with_replacement("ab", n)]
+    groups = {}
+    for i, (q, key) in enumerate(keys):
+        entry = {"q": q, "x": list(key), "value": GOLDEN_VALUES[i % 4]}
+        groups.setdefault(len(key), []).append(entry)
+    kernels = [{"n": n, "entries": entries} for n, entries in sorted(groups.items())]
+    return {"colors": ["a", "b"], "order": 5, "kernels": kernels}
+
+
+def sparse_golden_doc():
+    # the two-entry family a <- b, b <- ab
+    return {
+        "colors": ["a", "b"],
+        "order": 6,
+        "kernels": [
+            {"n": 1, "entries": [{"q": "a", "x": ["b"], "value": "1/2"}]},
+            {"n": 2, "entries": [{"q": "b", "x": ["a", "b"], "value": "-1"}]},
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "doc, digest, rows, tree_values",
+    [
+        (
+            dense_golden_doc(),
+            "141797debc6285cdefb787b29c9e4b05d654489b8f9275054a28fe502bb2a198",
+            20,
+            {("a", "a", "a"): "21/2", ("a", "b", "b", "b"): "26", ("b",) * 5: "3985/16"},
+        ),
+        (
+            sparse_golden_doc(),
+            "4b0c57f71bf0db36de624aa50798103cfe7698cd8e99dffa64e9a1e74f35dcce",
+            27,
+            {("a", "b", "b"): "-7/4", ("a", "a", "b", "b", "b"): "12", ("a",) + ("b",) * 5: "-79/32"},
+        ),
+    ],
+    ids=["dense-d2-N5", "sparse-two-entry-N6"],
+)
+def test_invert_det_stdout_is_pinned(tmp_path, capsys, doc, digest, rows, tree_values):
+    assert main(["invert", write_doc(tmp_path, doc), "--det"]) == 0
+    printed = capsys.readouterr().out
+    result = json.loads(printed)
+    assert result["all_equal"] is True
+    assert len(result["coefficients"]) == rows
+    by_key = {tuple(row["x"]): row for row in result["coefficients"]}
+    for key, value in tree_values.items():
+        assert by_key[key]["tree"] == by_key[key]["det"] == value
+    assert hashlib.sha256(printed.encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

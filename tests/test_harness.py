@@ -23,7 +23,7 @@ def test_zero_pool_gives_zero_kernel(monkeypatch):
     monkeypatch.setattr(lagrange_forest.harness, "POOL", (Fraction(0),))
     cfg = SuiteConfig(seed=1, colors=2, order=3, trials=1)
     kernels = random_kernel_family(cfg)
-    assert all(not table for table in kernels.tables.values())
+    assert all(not member.table for member in kernels.members.values())
     reports = run_suite("magic", cfg)
     assert all(r.passed for r in reports)
 

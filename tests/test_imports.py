@@ -58,7 +58,7 @@ def test_combinat_imports_series_only_for_type_checking():
         for targets, guarded in imports(PACKAGE / "combinat.py")
         if "lagrange_forest.series" in targets
     ]
-    assert series_imports, "the KernelFamily annotation import is expected"
+    assert series_imports, "the FamilySeries annotation import is expected"
     assert all(series_imports)
 
 

@@ -31,7 +31,6 @@ from lagrange_forest.inversion import (
 )
 from lagrange_forest.series import (
     FamilySeries,
-    KernelFamily,
     add,
     all_keys,
     compose_family,
@@ -49,15 +48,15 @@ A = ColorSet(("a",))
 AB = ColorSet(("a", "b"))
 
 
-def cayley_kernels(order: int) -> KernelFamily:
+def cayley_kernels(order: int) -> FamilySeries:
     return make_kernel_family(A, order, [("a", ("a",), 1)])
 
 
-def zero_kernels(colors: ColorSet, order: int) -> KernelFamily:
+def zero_kernels(colors: ColorSet, order: int) -> FamilySeries:
     return make_kernel_family(colors, order, [])
 
 
-def random_kernels(seed: int, colors: int = 2, order: int = 4) -> KernelFamily:
+def random_kernels(seed: int, colors: int = 2, order: int = 4) -> FamilySeries:
     cfg = SuiteConfig(seed=seed, colors=colors, order=order, trials=1)
     return random_kernel_family(cfg)
 
@@ -84,7 +83,7 @@ def test_forward_measure_sign_flip():
     kernels = make_kernel_family(AB, 3, [("a", ("b",), 2), ("b", ("a", "b"), "1/2")])
     flipped = make_kernel_family(AB, 3, [("a", ("b",), -2), ("b", ("a", "b"), "-1/2")])
     positive_density = FamilySeries(
-        AB, 3, {q: exponential(kernels.series_at(q)) for q in AB}
+        AB, 3, {q: exponential(kernels.members[q]) for q in AB}
     )
     assert forward_measure(flipped) == radon_lift(positive_density)
 
@@ -125,7 +124,7 @@ def test_tree_solution_satisfies_fixed_point_equation():
     kernels = random_kernels(seed=8, colors=2, order=4)
     factors = solve_tree_fixed_point(kernels).tree_factors
     for q in AB:
-        exponent = compose_family(kernels.series_at(q), factors)
+        exponent = compose_family(kernels.members[q], factors)
         assert exponential(exponent) == factors.members[q]
 
 
@@ -208,7 +207,7 @@ def test_pinned_determinants_and_derivative_kernel():
     # derivative kernel constant term is the size-1 kernel value
     for p in AB:
         for q in AB:
-            derivative = variational_derivative(kernels.series_at(q), (p,))
+            derivative = variational_derivative(kernels.members[q], (p,))
             assert derivative.f0 == kernels.value(q, (p,))
     pinned = finite_matrix_determinant(kernels, ("a",))
     for key in all_keys(AB, 3):
@@ -290,7 +289,7 @@ def test_split_sum_reads_match_folded_products(d, order):
     )
     det = fredholm_determinant(kernels)
     for key in keys:
-        pinned_exp = exponential(reduce(add, (kernels.series_at(q) for q in key)))
+        pinned_exp = exponential(reduce(add, (kernels.members[q] for q in key)))
         want = folded_product_coefficient((phi, pinned_exp, det), key)
         assert lagrange_good_coefficient(kernels, phi, key) == want, key
         assert magic_sum(kernels, key) == folded_product_coefficient((pinned_exp, det), key), key

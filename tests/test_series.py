@@ -25,6 +25,7 @@ from lagrange_forest import (
     OrderMismatch,
     TooManyPins,
     UnknownColor,
+    fredholm_determinant,
     make_kernel_family,
 )
 from lagrange_forest.harness import SuiteConfig, random_series
@@ -337,6 +338,35 @@ def test_radon_lift_evaluation_matches_integrate():
             assert integrated.coefficient(key) == compose_oracle(total, fam, key)
 
 
+def test_kernel_family_is_a_family_series_with_identity_hash():
+    entries = [("a", ("b",), "1/2"), ("b", ("a", "b"), -1), ("b", ("a",), 0)]
+    first, second = (make_kernel_family(AB, 3, entries) for _ in range(2))
+    assert type(first) is FamilySeries
+    assert first == second and first is not second
+    assert len({first, second}) == 2  # hashed by identity, not by value
+    assert first.members["a"] == make_series(AB, 3, [(("b",), "1/2")])
+    assert first.value("b", ("b", "a")) == -1
+    assert first.value("a", ("a",)) == 0
+    # the caches key on the object: one miss per family object
+    fredholm_determinant.cache_clear()
+    for kernels in (first, first, second, first):
+        fredholm_determinant(kernels)
+    info = fredholm_determinant.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
+
+
+def test_measure_series_is_a_family_series_apart_from_equality():
+    density = family_from(AB, 3, {"a": {("b",): 1}, "b": {(): 2, ("a",): -1}})
+    lifted = radon_lift(density)
+    assert isinstance(lifted, MeasureSeries) and isinstance(lifted, FamilySeries)
+    assert lifted.density is density
+    same_atoms = FamilySeries(lifted.colors, lifted.order, dict(lifted.members))
+    assert lifted != same_atoms and same_atoms != lifted
+    # the density takes no part in equality
+    relabelled = MeasureSeries(lifted.colors, lifted.order, dict(lifted.members), same_atoms)
+    assert relabelled == lifted
+
+
 def test_measure_evaluate_on_subsets():
     lifted = radon_lift(FamilySeries.constant(AB, 2, 1))
     assert lifted.evaluate(("a",)) == lifted.members["a"]
@@ -406,12 +436,6 @@ def test_compose_measure_matches_definition_oracle():
                 assert composed.members[q].coefficient(key) == compose_oracle(
                     gamma.members[q], fam, key
                 )
-
-
-def test_compose_measure_requires_density():
-    bare = MeasureSeries(AB, 2, {"a": zero_series(AB, 2), "b": zero_series(AB, 2)})
-    with pytest.raises(ValueError):
-        compose_measure(bare, FamilySeries.constant(AB, 2, 1))
 
 
 # ---------------------------------------------------------------------------
