@@ -14,8 +14,8 @@ that color, and it carries the density family it was lifted from.
 
 Every kernel is polynomial in the number of keys: a product convolves the
 monomial coefficients f[key] / prod_c n_c! in integers, over the pairs of
-keys whose sizes fit the order; the exponential splits off the block
-holding a key's first position, E[key] = sum_S weight(S) K[S] E[key - S];
+keys whose sizes fit the order; the exponential and the reciprocal recur
+over the sub-multisets S of a key, E[key] = sum_S weight(S) K[S] E[key - S];
 and composition with a measure sums g_J prod_q W_q^(J_q) / J_q! over g's
 keys J, W being the atoms of the substituted measure. No kernel enumerates
 set partitions.
@@ -23,7 +23,6 @@ set partitions.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, groupby, product
@@ -324,6 +323,26 @@ def exponential(k: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(k.colors, k.order, out)
 
 
+def _reciprocal(p: TruncatedSeries) -> TruncatedSeries:
+    """Reciprocal of a series with constant term one (the split recurrence).
+
+    R[key] = -sum_S prod_c C(n_c, s_c) p[S] R[key - S] over the non-empty
+    sub-multisets S of a key, n and s counting the colors of the key and of S.
+    """
+    support = p.support_colors()
+    out: dict[Key, Fraction] = {(): Fraction(1)}
+    for n in range(1, p.order + 1):
+        for key in combinations_with_replacement(support, n):
+            total = Fraction(0)
+            for part, rest, weight in _splits(key):
+                value = p.table.get(part)
+                if part and value is not None and rest in out:
+                    total += weight * value * out[rest]
+            if total:
+                out[key] = -total
+    return TruncatedSeries(p.colors, p.order, out)
+
+
 def variational_derivative(k: TruncatedSeries, pins: Sequence[str]) -> TruncatedSeries:
     """Pin colors: the result's coefficient at x is K's coefficient at pins + x.
 
@@ -333,19 +352,17 @@ def variational_derivative(k: TruncatedSeries, pins: Sequence[str]) -> Truncated
     if len(pins) > k.order:
         raise TooManyPins(f"cannot pin {len(pins)} colors at order {k.order}")
     k.colors.require(pins)
-    pinned = Counter(pins)
     new_order = k.order - len(pins)
     out: dict[Key, Fraction] = {}
     for key, value in k.table.items():
-        counts = Counter(key)
-        if any(counts[c] < m for c, m in pinned.items()):
+        rest = list(key)  # sorted, and removing entries keeps it sorted
+        try:
+            for pin in pins:
+                rest.remove(pin)
+        except ValueError:  # a pin not in the key
             continue
-        remainder = counts - pinned
-        rest = canonical_key(
-            [c for c, m in remainder.items() for _ in range(m)]
-        )
         if len(rest) <= new_order:
-            out[rest] = value
+            out[tuple(rest)] = value
     return TruncatedSeries(k.colors, new_order, out)
 
 

@@ -158,6 +158,15 @@ CORRUPTIONS = [
     ("univariate", lagrange_forest.inversion, "compose_family",
      lambda original: lambda *args: scale(original(*args), 2),
      ["FAIL univariate-inversion [trial=0, n=1] at (1): expected 2, got 1 / 1"]),
+    # _reciprocal inverts the pivots of the determinant's elimination.
+    # determinant-reduction cannot see its corruption, because both of its
+    # sides run the same determinant routine; det-vs-crowns and lagrange-good
+    # (and magic) do see it.
+    ("all", lagrange_forest.inversion, "_reciprocal",
+     lambda original: lambda p: scale(original(p), 2),
+     ["FAIL lagrange-good [trial=0] at (a, a, b): expected 1, got -1",
+      "FAIL magic [trial=0] at (a, a, b): expected 0, got -2",
+      "FAIL det-vs-crowns [trial=0] at (b, a, b): expected 9/2, got 7/2"]),
 ]
 
 

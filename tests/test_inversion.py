@@ -164,11 +164,39 @@ def test_fredholm_matches_crown_oracle():
             )
 
 
-@pytest.mark.parametrize("colors, order", [(1, 6), (2, 5), (3, 4)])
-def test_fredholm_matches_subset_expansion_oracle(colors, order):
-    kernels = random_kernels(seed=2, colors=colors, order=order)
+# A sparse family with zero diagonal kernels, whose L has an all-zero column
+# (no kernel depends on d), so the elimination skips rows with a zero entry
+# below the pivot, zero entries of a pivot row and the reciprocal of a pivot
+# with nothing below it. L[c, b] = 0 while L[c, a] and L[a, b] are not, so
+# that zero entry of Id - L fills in before it is eliminated.
+SPARSE_KERNELS = make_kernel_family(
+    ColorSet(("a", "b", "c", "d")),
+    4,
+    [
+        ("a", ("b",), 1),
+        ("a", ("b", "b"), "1/2"),
+        ("b", ("c",), -1),
+        ("b", ("a", "c"), 2),
+        ("c", ("a",), 3),
+        ("c", ("a", "a"), "-1/3"),
+        ("d", ("b", "c"), "1/2"),
+    ],
+)
+
+
+@pytest.mark.parametrize(
+    "kernels",
+    [
+        pytest.param(random_kernels(seed=2, colors=1, order=6), id="1-6"),
+        pytest.param(random_kernels(seed=2, colors=2, order=5), id="2-5"),
+        pytest.param(random_kernels(seed=2, colors=3, order=4), id="3-4"),
+        pytest.param(random_kernels(seed=2, colors=4, order=4), id="4-4"),
+        pytest.param(SPARSE_KERNELS, id="sparse-4-4"),
+    ],
+)
+def test_fredholm_matches_subset_expansion_oracle(kernels):
     det = fredholm_determinant(kernels)
-    for key in all_keys(kernels.colors, order):
+    for key in all_keys(kernels.colors, kernels.order):
         if key:
             assert det.coefficient(key) == fredholm_oracle(kernels, key)
 

@@ -33,6 +33,7 @@ from lagrange_forest.series import (
     FamilySeries,
     MeasureSeries,
     TruncatedSeries,
+    _reciprocal,
     add,
     all_keys,
     compose_family,
@@ -591,6 +592,16 @@ def test_exponential_matches_partition_oracle(d, order):
     e = exponential(k)
     for key in all_keys(k.colors, order):
         assert e.coefficient(key) == exponential_oracle(k, key), key
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+@pytest.mark.parametrize("d,order", [(1, 7), (2, 6), (3, 5)])
+def test_reciprocal_times_series_is_one(d, order, sparse):
+    p = random_dense_series(d, order, f"recip:{d}", constant=False)
+    if sparse:
+        p = series_from(p.colors, order, dict(list(p.table.items())[::4]))
+    p = add(constant_series(p.colors, order, 1), p)
+    assert multiply(p, _reciprocal(p)) == constant_series(p.colors, order, 1)
 
 
 @pytest.mark.parametrize("d,order", ORACLE_GRID)
