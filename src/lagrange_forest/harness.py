@@ -204,7 +204,10 @@ def _suite_determinant_reduction(
 ) -> list[IdentityReport]:
     rng = random.Random(f"detred:{cfg.seed}")
     names = cfg.color_names
-    subset = tuple(sorted(rng.sample(names, rng.randint(1, len(names)))))
+    # a proper subset, so that the reduction compares two different matrices;
+    # at d = 1 the only choice is the one color and the check is trivial
+    size = rng.randint(1, max(1, len(names) - 1))
+    subset = tuple(sorted(rng.sample(names, size)))
     fredholm = fredholm_determinant(kernels)
     small = finite_matrix_determinant(kernels, subset)
     cases = (

@@ -30,9 +30,9 @@ from .reports import IdentityReport, first_mismatch, report_fail, report_pass
 from .series import (
     ColorSet,
     FamilySeries,
-    MeasureSeries,
     TruncatedSeries,
     _Monomials,
+    _atom,
     _compose_table,
     _reciprocal,
     _split_sum,
@@ -58,27 +58,20 @@ class TreeSolution:
     """Per-color tree generating functions and the inverse measure series.
 
     ``tree_factors`` solves the fixed-point equation order by order; its
-    coefficient at a key equals the enumeration-side tree coefficient.
-    ``inverse`` is the radon lift of ``tree_factors``.
+    coefficient at a key equals the enumeration-side tree coefficient and
+    it is the inverse's density. ``inverse`` is its radon lift: the atoms.
     """
 
     tree_factors: FamilySeries
-    inverse: MeasureSeries
+    inverse: FamilySeries
 
 
-def _truncate(k: TruncatedSeries, new_order: int) -> TruncatedSeries:
-    if new_order >= k.order:
-        return k
-    table = {key: v for key, v in k.table.items() if len(key) <= new_order}
-    return TruncatedSeries(k.colors, new_order, table)
-
-
-def forward_measure(kernels: FamilySeries) -> MeasureSeries:
-    """The measure series being inverted: base measure times exp(-kernel)."""
+def forward_density(kernels: FamilySeries) -> FamilySeries:
+    """Density of the measure series being inverted: q -> exp(-kernel at q)."""
     members = {
         q: exponential(scale(kernels.members[q], -1)) for q in kernels.colors.names
     }
-    return radon_lift(FamilySeries(kernels.colors, kernels.order, members))
+    return FamilySeries(kernels.colors, kernels.order, members)
 
 
 @lru_cache(maxsize=4)
@@ -110,25 +103,21 @@ def solve_tree_fixed_point(kernels: FamilySeries) -> TreeSolution:
 def _determinant(kernels: FamilySeries, labels: Sequence[str]) -> TruncatedSeries:
     """det(Id - L) for the matrix L indexed by ``labels``, by elimination.
 
-    Entry (q, q') of L is the atom series at q times the kernel at q
-    differentiated at q'. Cycles of L are crowns, and the determinant is
-    their signed sum; the crown oracles check it in that reading. Every
-    entry of L has a vanishing constant term, so Gaussian elimination on
-    Id - L over the truncated-series ring needs no pivoting: every pivot,
-    Schur complements included, has constant term one. The determinant is
-    the product of the pivots, about d^3 / 3 products and d - 1 reciprocals
-    for d labels, whatever the order.
+    Entry (q, q') of L is the atom at q of the kernel at q differentiated
+    at q', built for the labels only. Cycles of L are crowns, and the
+    determinant is their signed sum; the crown oracles check it in that
+    reading. Every entry of L has a vanishing constant term, so Gaussian
+    elimination on Id - L over the truncated-series ring needs no pivoting:
+    every pivot, Schur complements included, has constant term one. The
+    determinant is the product of the pivots, about d^3 / 3 products and
+    d - 1 reciprocals for d labels, whatever the order.
     """
     colors, order = kernels.colors, kernels.order
     size = len(labels)
     matrix = []  # row q' holds column q' of Id - L: the transpose, same determinant
     for j, qp in enumerate(labels):
-        derivatives = {
-            q: variational_derivative(kernels.members[q], (qp,)) for q in colors.names
-        }
-        lifted = {q: TruncatedSeries(colors, order, s.table) for q, s in derivatives.items()}
-        column = radon_lift(FamilySeries(colors, order, lifted)).members
-        matrix.append([scale(column[q], -1) for q in labels])
+        pinned = {q: variational_derivative(kernels.members[q], (qp,)) for q in labels}
+        matrix.append([scale(_atom(q, pinned[q].table, colors, order), -1) for q in labels])
         matrix[j][j] = add(constant_series(colors, order, 1), matrix[j][j])
     for k in range(size):
         rows = [i for i in range(k + 1, size) if matrix[i][k].table]
@@ -181,8 +170,12 @@ def _pinned_exponential(
     multiset, the order and the family's identity, and the per-key queries
     and the suites of one verify trial share each exponential.
     """
-    summed = reduce(add, (_truncate(kernels.members[q], order) for q in pins))
-    return exponential(summed)
+    summed: dict[tuple[str, ...], Fraction] = {}
+    for q in pins:
+        for key, value in kernels.members[q].table.items():
+            if len(key) <= order:
+                summed[key] = summed.get(key, 0) + value
+    return exponential(TruncatedSeries(kernels.colors, order, summed))
 
 
 def _pinned_key(kernels: FamilySeries, q_tuple: Sequence[str]) -> tuple[str, ...]:
@@ -238,27 +231,20 @@ def inverse_via_determinant(
     return lagrange_good_coefficient(kernels, phi, q_tuple)
 
 
-def identity_measure(colors: ColorSet, order: int) -> MeasureSeries:
-    """The base measure itself: density one at every color."""
-    return radon_lift(FamilySeries.constant(colors, order, 1))
-
-
 def round_trip_check(kernels: FamilySeries) -> IdentityReport:
-    """Both compositions of the forward and inverse series must be the identity."""
-    solution = solve_tree_fixed_point(kernels)
-    forward = forward_measure(kernels)
-    identity = identity_measure(kernels.colors, kernels.order)
+    """Both compositions of the forward and inverse series must be the identity.
+
+    Each composition of the densities exp(-A) and T (the tree factors) must
+    be one at the empty key and zero at every other key up to the order.
+    """
+    tree_factors = solve_tree_fixed_point(kernels).tree_factors
+    forward = forward_density(kernels)
     sides = (
-        ("forward-after-inverse", compose_measure(forward, solution.tree_factors)),
-        ("inverse-after-forward", compose_measure(solution.inverse, forward.density)),
+        ("forward-after-inverse", compose_measure(forward, tree_factors)),
+        ("inverse-after-forward", compose_measure(tree_factors, forward)),
     )
     cases = (
-        (
-            (q, *key),
-            identity.members[q].table.get(key, 0),
-            composed.members[q].table.get(key, 0),
-            {"side": side},
-        )
+        ((q, *key), int(not key), composed.value(q, key), {"side": side})
         for side, composed in sides
         for q in kernels.colors.sorted_names
         for key in all_keys(kernels.colors, kernels.order)

@@ -10,7 +10,8 @@ on larger coefficients of the inputs.
 Function-valued series are families with one member series per color. A
 kernel family is such a family, with vanishing constant terms, and a
 measure-valued series is one too: its member at a color is the atom at
-that color, and it carries the density family it was lifted from.
+that color, the radon lift of its density. Compositions of measures work
+on the densities and lift only where atoms are read.
 
 Every kernel is polynomial in the number of keys: a product convolves the
 monomial coefficients f[key] / prod_c n_c! in integers, over the pairs of
@@ -375,11 +376,13 @@ class FamilySeries:
     """One scalar series per color: a function-valued series, finitely many colors.
 
     A kernel family is one with vanishing constant terms, ``members[q]``
-    being the kernel pinned at q. A family hashes by identity, so the
-    package's caches (the Fredholm determinant, the tree solution, the
-    pinned exponentials, the tree and map sums of :mod:`combinat`) key on
-    the object: build it once and do not mutate its members afterwards.
-    Equality compares the class, the colors, the order and the members.
+    being the kernel pinned at q. A measure-valued series is one too, stored
+    as its atoms: ``members[q]`` is the atom at q, and :meth:`evaluate` sums
+    the atoms over a subset. A family hashes by identity, so the package's
+    caches (the Fredholm determinant, the tree solution, the pinned
+    exponentials, the tree and map sums of :mod:`combinat`) key on the
+    object: build it once and do not mutate its members afterwards.
+    Equality compares the colors, the order and the members.
     """
 
     colors: ColorSet
@@ -401,8 +404,7 @@ class FamilySeries:
         if not isinstance(other, FamilySeries):
             return NotImplemented
         return (
-            type(self) is type(other)
-            and self.colors == other.colors
+            self.colors == other.colors
             and self.order == other.order
             and self.members == other.members
         )
@@ -421,20 +423,11 @@ class FamilySeries:
         """Member at q, read at the color multiset xs."""
         return self.members[q].table.get(canonical_key(xs), Fraction(0))
 
-
-@dataclass(frozen=True, eq=False)
-class MeasureSeries(FamilySeries):
-    """Measure-valued series over a finite color set, stored atom by atom.
-
-    ``members[q]`` is the coefficient table of the atom at color q;
-    evaluating on a subset B sums the atoms over B. ``density`` is the
-    family the series was lifted from; it takes no part in equality.
-    """
-
-    density: FamilySeries
-
     def evaluate(self, subset: Iterable[str] | None = None) -> TruncatedSeries:
-        """Sum of the atoms over a color subset (the whole set by default)."""
+        """Sum of the members over a color subset (the whole set by default).
+
+        For a measure stored as its atoms, this is the measure of the subset.
+        """
         labels = tuple(self.colors.names) if subset is None else tuple(subset)
         self.colors.require(labels)
         total = zero_series(self.colors, self.order)
@@ -443,27 +436,34 @@ class MeasureSeries(FamilySeries):
         return total
 
 
-def radon_lift(family: FamilySeries) -> MeasureSeries:
+def _atom(
+    q: str, table: dict[Key, Fraction], colors: ColorSet, order: int
+) -> TruncatedSeries:
+    # The atom at q of a density whose member at q has this table: each key
+    # gains one copy of q (the series sorts the new key), weighted by the
+    # multiplicity of q in it. Distinct keys stay distinct.
+    lifted = {
+        key + (q,): v * (key.count(q) + 1) for key, v in table.items() if len(key) < order
+    }
+    return TruncatedSeries(colors, order, lifted)
+
+
+def radon_lift(family: FamilySeries) -> FamilySeries:
     """Multiply a function-valued series by the base measure.
 
-    The atom at q collects, from each key containing q, the family member at
-    q evaluated with one copy of q removed, weighted by the multiplicity of
-    q in the key. Its total mass, ``radon_lift(family).evaluate()``, is the
-    integral of the family against the base measure.
+    The result is the measure stored as its atoms. The atom at q collects,
+    from each key containing q, the family member at q evaluated with one
+    copy of q removed, weighted by the multiplicity of q in the key; density
+    coefficients of size ``order`` land past the order and are dropped. The
+    total mass, ``radon_lift(family).evaluate()``, is the integral of the
+    family against the base measure.
     """
-    members: dict[str, TruncatedSeries] = {}
-    for q in family.colors.names:
-        table: dict[Key, Fraction] = {}
-        for key, value in family.members[q].table.items():
-            if len(key) + 1 > family.order:
-                continue
-            merged = canonical_key(key + (q,))
-            table[merged] = table.get(merged, Fraction(0)) + value * (key.count(q) + 1)
-        members[q] = TruncatedSeries(family.colors, family.order, table)
-    return MeasureSeries(family.colors, family.order, members, density=family)
+    colors, order = family.colors, family.order
+    members = {q: _atom(q, family.members[q].table, colors, order) for q in colors.names}
+    return FamilySeries(colors, order, members)
 
 
-def _check_family(g: TruncatedSeries | MeasureSeries, family: FamilySeries) -> None:
+def _check_family(g: TruncatedSeries | FamilySeries, family: FamilySeries) -> None:
     if g.colors != family.colors:
         raise ColorSetMismatch("series and family over different color sets")
     if g.order != family.order:
@@ -529,29 +529,25 @@ def compose_family(g: TruncatedSeries, family: FamilySeries) -> TruncatedSeries:
     return TruncatedSeries(g.colors, g.order, table)
 
 
-def compose_measure(gamma: MeasureSeries, family: FamilySeries) -> MeasureSeries:
-    """Substitute the measure "family times base measure" into a measure series.
+def compose_measure(density: FamilySeries, family: FamilySeries) -> FamilySeries:
+    """Compose two measure-valued series, given and returned as densities.
 
-    With gamma = G times the base measure (G is ``gamma.density``) and the
-    substituted measure K = F times the base measure, the result is the
-    measure with density q -> (G_q composed with K) times F_q, again in
-    radon form. The compositions substitute the same family, so they share
-    one table of its monomials, as the tree fixed point does.
+    Substituting K = F times the base measure (F is ``family``) into G times
+    the base measure (G is ``density``) gives the density q -> (G_q composed
+    with K) times F_q, exact up to the order. The compositions share one
+    table of F's monomials, as the tree fixed point does.
     """
-    _check_family(gamma, family)
-    monomials = _Monomials(family, gamma.order)  # shared by every color
+    _check_family(density, family)
+    colors, order = density.colors, density.order
+    monomials = _Monomials(family, order)  # shared by every color
     members = {
         q: multiply(
-            TruncatedSeries(
-                gamma.colors,
-                gamma.order,
-                _compose_table(gamma.density.members[q], monomials),
-            ),
+            TruncatedSeries(colors, order, _compose_table(density.members[q], monomials)),
             family.members[q],
         )
-        for q in gamma.colors.names
+        for q in colors.names
     }
-    return radon_lift(FamilySeries(gamma.colors, gamma.order, members))
+    return FamilySeries(colors, order, members)
 
 
 # ---------------------------------------------------------------------------

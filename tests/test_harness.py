@@ -10,7 +10,7 @@ import lagrange_forest.inversion
 from lagrange_forest import SuiteConfig, UnknownSuite, run_suite
 from lagrange_forest.cli import main
 from lagrange_forest.harness import random_kernel_family, random_series
-from lagrange_forest.series import FamilySeries, radon_lift, scale
+from lagrange_forest.series import FamilySeries, TruncatedSeries, all_keys, scale
 
 
 def test_same_seed_gives_identical_families():
@@ -46,7 +46,7 @@ PINNED_REPORTS = {
         "PASS exp-vs-maps [trial=0, checks=30]",
         "PASS det-vs-crowns [trial=0, checks=10]",
         "PASS forest-factorization [trial=0, checks=120]",
-        "PASS determinant-reduction [trial=0, checks=20, subset=('a', 'b')]",
+        "PASS determinant-reduction [trial=0, checks=5, subset=('a',)]",
         "PASS univariate-inversion [trial=0, order=5]",
     ],
     3: [
@@ -139,9 +139,9 @@ CORRUPTIONS = [
      ["FAIL lagrange-good [trial=0] at (a): expected 0, got 1"]),
     ("magic", lagrange_forest.harness, "magic_sum", _plus_one,
      ["FAIL magic [trial=0] at (a): expected 0, got 1"]),
-    ("round-trip", lagrange_forest.inversion, "identity_measure",
-     lambda original: lambda colors, order: radon_lift(FamilySeries.constant(colors, order, 2)),
-     ["FAIL round-trip [trial=0, side=forward-after-inverse] at (a, a): expected 2, got 1"]),
+    ("round-trip", lagrange_forest.inversion, "forward_density",
+     lambda original: lambda kernels: FamilySeries.constant(kernels.colors, kernels.order, 2),
+     ["FAIL round-trip [trial=0, side=forward-after-inverse] at (a): expected 1, got 2"]),
     ("species-oracles", lagrange_forest.combinat, "exp_coefficient_via_maps", _plus_one,
      ["FAIL exp-vs-maps [trial=0, picked=()] at (b): expected 1, got 2",
       "FAIL forest-factorization [trial=0, split=((2, 3), (1,), ())] at (b, a, b):"
@@ -181,6 +181,34 @@ def test_corruption_gives_pinned_fail_report(
     monkeypatch.setattr(module, binding, corrupt(getattr(module, binding)))
     reports = run_suite(suite, SuiteConfig(seed=0, colors=2, order=3, trials=1))
     assert [r.describe() for r in reports if not r.passed] == fail_lines
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_determinant_reduction_draws_a_proper_subset(d):
+    # over every color the reduction would compare the routine with itself
+    for seed in range(6):
+        cfg = SuiteConfig(seed=seed, colors=d, order=3, trials=1)
+        for report in run_suite("determinant-reduction", cfg):
+            assert dict(report.params)["subset"] != str(cfg.color_names)
+
+
+def test_verify_sees_an_exponential_corrupted_at_size_n(monkeypatch, capsys):
+    # the size-N coefficients of the tree factors and of exp(-A) reach only
+    # the round trip's densities: the pinned tuples stop at size 4
+    original = lagrange_forest.inversion.exponential
+
+    def corrupted(k):
+        e = original(k)
+        table = {
+            key: e.table.get(key, 0) + (len(key) == 5) for key in all_keys(e.colors, e.order)
+        }
+        return TruncatedSeries(e.colors, e.order, table)
+
+    monkeypatch.setattr(lagrange_forest.inversion, "exponential", corrupted)
+    argv = ["verify", "all", "--d", "2", "--N", "5", "--trials", "2", "--seed", "1"]
+    assert main(argv) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("FAIL round-trip") for line in lines)
 
 
 def test_verify_failure_prints_reproduce_line(monkeypatch, capsys):

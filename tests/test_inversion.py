@@ -21,8 +21,7 @@ from lagrange_forest.combinat import det_coefficient_via_crowns
 from lagrange_forest.harness import random_kernel_family, random_series
 from lagrange_forest.inversion import (
     finite_matrix_determinant,
-    forward_measure,
-    identity_measure,
+    forward_density,
     lagrange_good_coefficient,
     magic_sum,
     round_trip_check,
@@ -67,12 +66,12 @@ def random_kernels(seed: int, colors: int = 2, order: int = 4) -> FamilySeries:
 
 def test_forward_measure_of_zero_kernel_is_base_measure():
     kernels = zero_kernels(AB, 3)
-    assert forward_measure(kernels) == identity_measure(AB, 3)
+    assert radon_lift(forward_density(kernels)) == radon_lift(FamilySeries.constant(AB, 3, 1))
 
 
 def test_forward_measure_single_color_values():
     kernels = cayley_kernels(4)
-    member = forward_measure(kernels).members["a"]
+    member = radon_lift(forward_density(kernels)).members["a"]
     # density exp(-z): atom coefficients n * (-1)**(n-1)
     assert member.coefficient(("a",)) == 1
     assert member.coefficient(("a", "a")) == -2
@@ -85,7 +84,7 @@ def test_forward_measure_sign_flip():
     positive_density = FamilySeries(
         AB, 3, {q: exponential(kernels.members[q]) for q in AB}
     )
-    assert forward_measure(flipped) == radon_lift(positive_density)
+    assert radon_lift(forward_density(flipped)) == radon_lift(positive_density)
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +95,7 @@ def test_tree_solution_of_zero_kernel():
     kernels = zero_kernels(AB, 3)
     solution = solve_tree_fixed_point(kernels)
     assert solution.tree_factors == FamilySeries.constant(AB, 3, 1)
-    assert solution.inverse == identity_measure(AB, 3)
+    assert solution.inverse == radon_lift(FamilySeries.constant(AB, 3, 1))
 
 
 def test_tree_solution_cayley_counts():

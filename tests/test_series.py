@@ -31,7 +31,6 @@ from lagrange_forest import (
 from lagrange_forest.harness import SuiteConfig, random_series
 from lagrange_forest.series import (
     FamilySeries,
-    MeasureSeries,
     TruncatedSeries,
     _reciprocal,
     add,
@@ -356,18 +355,6 @@ def test_kernel_family_is_a_family_series_with_identity_hash():
     assert (info.misses, info.hits) == (2, 2)
 
 
-def test_measure_series_is_a_family_series_apart_from_equality():
-    density = family_from(AB, 3, {"a": {("b",): 1}, "b": {(): 2, ("a",): -1}})
-    lifted = radon_lift(density)
-    assert isinstance(lifted, MeasureSeries) and isinstance(lifted, FamilySeries)
-    assert lifted.density is density
-    same_atoms = FamilySeries(lifted.colors, lifted.order, dict(lifted.members))
-    assert lifted != same_atoms and same_atoms != lifted
-    # the density takes no part in equality
-    relabelled = MeasureSeries(lifted.colors, lifted.order, dict(lifted.members), same_atoms)
-    assert relabelled == lifted
-
-
 def test_measure_evaluate_on_subsets():
     lifted = radon_lift(FamilySeries.constant(AB, 2, 1))
     assert lifted.evaluate(("a",)) == lifted.members["a"]
@@ -404,34 +391,28 @@ def test_compose_measure_with_unit_density_returns_substituted_measure():
     fam = FamilySeries(
         AB, 3, {"a": random_series(cfg, "cm-a"), "b": random_series(cfg, "cm-b")}
     )
-    base = radon_lift(FamilySeries.constant(AB, 3, 1))
-    assert compose_measure(base, fam) == radon_lift(fam)
+    assert compose_measure(FamilySeries.constant(AB, 3, 1), fam) == fam
 
 
 def test_compose_measure_with_unit_argument_is_identity():
     cfg = SuiteConfig(seed=5, colors=2, order=3, trials=1)
-    gamma = radon_lift(
-        FamilySeries(
-            AB, 3, {"a": random_series(cfg, "cmg-a"), "b": random_series(cfg, "cmg-b")}
-        )
+    density = FamilySeries(
+        AB, 3, {"a": random_series(cfg, "cmg-a"), "b": random_series(cfg, "cmg-b")}
     )
-    assert compose_measure(gamma, FamilySeries.constant(AB, 3, 1)) == gamma
+    assert compose_measure(density, FamilySeries.constant(AB, 3, 1)) == density
 
 
 def test_compose_measure_matches_definition_oracle():
     for seed in range(3):
         cfg = SuiteConfig(seed=seed, colors=2, order=3, trials=1)
-        gamma = radon_lift(
-            FamilySeries(
-                AB,
-                3,
-                {"a": random_series(cfg, "do-ga"), "b": random_series(cfg, "do-gb")},
-            )
+        density = FamilySeries(
+            AB, 3, {"a": random_series(cfg, "do-ga"), "b": random_series(cfg, "do-gb")}
         )
         fam = FamilySeries(
             AB, 3, {"a": random_series(cfg, "do-fa"), "b": random_series(cfg, "do-fb")}
         )
-        composed = compose_measure(gamma, fam)
+        # the atoms of the composed measure, against the definition on gamma's atoms
+        composed, gamma = radon_lift(compose_measure(density, fam)), radon_lift(density)
         for q in AB:
             for key in all_keys(AB, 3):
                 assert composed.members[q].coefficient(key) == compose_oracle(
