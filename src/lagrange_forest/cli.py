@@ -251,7 +251,7 @@ def cmd_invert(
 
 def cmd_verify(suite: str, seed: int, d: int, order: int, trials: int) -> int:
     try:
-        cfg = SuiteConfig(seed=seed, colors=d, order=order, trials=trials)
+        cfg = SuiteConfig(seed=seed, colors=d, order=order, trials=trials, max_tuple=order)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -340,8 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=4,
         dest="order",
-        help="truncation order; lagrange-good, magic and species-oracles"
-        " check pinned tuples only up to size 4",
+        help="truncation order; every suite checks every size up to it,"
+        " except species-oracles, which pins tuples only up to size 4",
     )
     verify.add_argument("--trials", type=int, default=3)
 

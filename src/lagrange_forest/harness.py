@@ -149,7 +149,7 @@ def _suite_species(cfg: SuiteConfig, kernels: FamilySeries) -> list[IdentityRepo
 def _exp_cases(q_tuples: list[tuple[str, ...]], kernels: FamilySeries):
     for q_tuple in q_tuples:
         n = len(q_tuple)
-        exp_series = _pinned_exponential(kernels, canonical_key(q_tuple), n)
+        exp_series = _pinned_exponential(kernels, canonical_key(q_tuple))
         for size in range(n + 1):
             for picked in combinations(range(1, n + 1), size):
                 want = exp_series.coefficient(tuple(q_tuple[i - 1] for i in picked))
@@ -243,8 +243,7 @@ def run_suite(name: str, cfg: SuiteConfig) -> list[IdentityReport]:
 
     Each trial draws one kernel family and hands it to every suite, so the
     suites of a trial share the results cached on it: the Fredholm
-    determinant, the tree solution, the pinned exponentials and the tree and
-    map sums.
+    determinant, the tree solution and the tree and map sums.
     """
     if name == "all":
         runners = list(_SUITES.values())

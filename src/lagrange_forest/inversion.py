@@ -12,9 +12,8 @@ the two routes can be checked exactly.
 Every function takes the kernel family itself, a
 :class:`~lagrange_forest.series.FamilySeries` whose member at q is the
 kernel pinned at q. What several queries or suites read again for one
-family (the Fredholm determinant, the tree solution and the pinned
-exponentials) sits in bounded ``lru_cache``s keyed on the family's
-identity.
+family (the Fredholm determinant and the tree solution) sits in bounded
+``lru_cache``s keyed on the family's identity.
 """
 
 from __future__ import annotations
@@ -36,6 +35,7 @@ from .series import (
     _compose_table,
     _reciprocal,
     _split_sum,
+    _splits,
     add,
     all_keys,
     canonical_key,
@@ -160,22 +160,15 @@ def finite_matrix_determinant(
     return _determinant(kernels, labels)
 
 
-@lru_cache(maxsize=64)
-def _pinned_exponential(
-    kernels: FamilySeries, pins: tuple[str, ...], order: int
-) -> TruncatedSeries:
-    """exp of the sum of the kernels pinned at ``pins``, to ``order``.
+def _pinned_exponential(kernels: FamilySeries, key: tuple[str, ...]) -> TruncatedSeries:
+    """exp of the sum of the kernels pinned at the colors of ``key``, on its down-set.
 
-    ``pins`` is a canonical key, so the result is cached on the color
-    multiset, the order and the family's identity, and the per-key queries
-    and the suites of one verify trial share each exponential.
+    A query at ``key`` reads it only at the key's prod_c (n_c + 1)
+    sub-multisets, so it is built there alone, cheaply enough not to cache.
     """
-    summed: dict[tuple[str, ...], Fraction] = {}
-    for q in pins:
-        for key, value in kernels.members[q].table.items():
-            if len(key) <= order:
-                summed[key] = summed.get(key, 0) + value
-    return exponential(TruncatedSeries(kernels.colors, order, summed))
+    down_set = sorted((part for part, _, _ in _splits(key) if part), key=len)
+    summed = {s: sum(kernels.members[q].table.get(s, 0) for q in key) for s in down_set}
+    return exponential(TruncatedSeries(kernels.colors, len(key), summed), down_set)
 
 
 def _pinned_key(kernels: FamilySeries, q_tuple: Sequence[str]) -> tuple[str, ...]:
@@ -197,15 +190,15 @@ def lagrange_good_coefficient(
     Returns the coefficient at ``q_tuple`` of phi times the exponential of
     the kernels pinned at the tuple's colors times the Fredholm determinant.
     The coefficient is read by a split sum over the sub-multisets of the
-    tuple, so each factor is read only there and no product is formed. The
-    exponential factor depends on the tuple's colors and is cached on them.
+    tuple, so each factor is read only there and no product is formed; the
+    exponential factor is built on those sub-multisets alone.
     """
     key = _pinned_key(kernels, q_tuple)
     if phi.colors != kernels.colors:
         raise ColorSetMismatch(f"{phi.colors.names} vs {kernels.colors.names}")
     if phi.order < len(key):
         raise OrderMismatch(f"phi of order {phi.order} read at size {len(key)}")
-    pinned_exp = _pinned_exponential(kernels, key, len(key))
+    pinned_exp = _pinned_exponential(kernels, key)
     return _split_sum((phi, pinned_exp, fredholm_determinant(kernels)), key)
 
 
@@ -219,7 +212,7 @@ def magic_sum(kernels: FamilySeries, q_tuple: Sequence[str]) -> Fraction:
     :func:`lagrange_good_coefficient`.
     """
     key = _pinned_key(kernels, q_tuple)
-    pinned_exp = _pinned_exponential(kernels, key, len(key))
+    pinned_exp = _pinned_exponential(kernels, key)
     return _split_sum((pinned_exp, fredholm_determinant(kernels)), key)
 
 

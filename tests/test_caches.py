@@ -2,7 +2,6 @@
 
 import importlib
 import pkgutil
-from math import comb
 
 import pytest
 
@@ -21,7 +20,6 @@ from lagrange_forest.combinat import (
 )
 from lagrange_forest.cli import dump_document, main
 from lagrange_forest.harness import SuiteConfig, run_suite
-from lagrange_forest.inversion import _pinned_exponential
 
 
 def test_invert_det_computes_one_determinant(tmp_path):
@@ -63,17 +61,6 @@ def test_verify_trial_solves_the_trial_family_once():
     assert info.hits >= 1
 
 
-def test_verify_trial_builds_each_pinned_exponential_once():
-    # lagrange-good pins every color multiset of size 1..4, 34 of them over
-    # three colors; magic and the species suite pin only these again
-    _pinned_exponential.cache_clear()
-    run_suite("all", SuiteConfig(seed=1, colors=3, order=5, trials=1))
-    info = _pinned_exponential.cache_info()
-    distinct = sum(comb(n + 2, n) for n in range(1, 5))  # 3 + 6 + 10 + 15
-    assert info.misses == distinct
-    assert info.hits >= distinct
-
-
 def test_every_cache_is_bounded():
     found = {}
     for module in pkgutil.iter_modules(lagrange_forest.__path__):
@@ -89,7 +76,6 @@ def test_every_cache_is_bounded():
         "combinat._map_sum",
         "inversion.fredholm_determinant",
         "inversion.solve_tree_fixed_point",
-        "inversion._pinned_exponential",
     } <= set(found)
     assert all(maxsize is not None for maxsize in found.values()), found
 

@@ -307,21 +307,27 @@ def test_invert_mismatch_exits_1(tmp_path, monkeypatch):
     assert any(not row["equal"] for row in result["coefficients"])
 
 
-# `invert --det` stdout of two documents, recorded before the kernel family
-# became a family of series: a change of the series representation must
-# leave every byte of it alone
+# `invert --det` stdout of three documents: the two-color ones were recorded
+# before the kernel family became a family of series, the three-color one
+# before the per-key exponential was built on the key's down-set. A change of
+# the series representation or of the query must leave every byte alone
 GOLDEN_VALUES = ("1", "-1/2", "1/2", "-1")
 
 
-def dense_golden_doc():
-    # every key of size 1..5 over {a, b}, for both pinned colors, cycling values
-    keys = [(q, key) for q in "ab" for n in range(1, 6) for key in combinations_with_replacement("ab", n)]
+def dense_golden_doc(colors="ab", order=5):
+    # every key of size 1..order, for every pinned color, cycling values
+    keys = [
+        (q, key)
+        for q in colors
+        for n in range(1, order + 1)
+        for key in combinations_with_replacement(colors, n)
+    ]
     groups = {}
     for i, (q, key) in enumerate(keys):
         entry = {"q": q, "x": list(key), "value": GOLDEN_VALUES[i % 4]}
         groups.setdefault(len(key), []).append(entry)
     kernels = [{"n": n, "entries": entries} for n, entries in sorted(groups.items())]
-    return {"colors": ["a", "b"], "order": 5, "kernels": kernels}
+    return {"colors": list(colors), "order": order, "kernels": kernels}
 
 
 def sparse_golden_doc():
@@ -351,8 +357,14 @@ def sparse_golden_doc():
             27,
             {("a", "b", "b"): "-7/4", ("a", "a", "b", "b", "b"): "12", ("a",) + ("b",) * 5: "-79/32"},
         ),
+        (
+            dense_golden_doc("abc", 5),
+            "4fe3ba3be7592e4d431cffd731696536df38c360730c188160c9ae5fb9d18ba6",
+            55,
+            {("a", "a", "a"): "6", ("a", "b", "b", "c", "c"): "177/16", ("c",) * 5: "4455/4"},
+        ),
     ],
-    ids=["dense-d2-N5", "sparse-two-entry-N6"],
+    ids=["dense-d2-N5", "sparse-two-entry-N6", "dense-d3-N5"],
 )
 def test_invert_det_stdout_is_pinned(tmp_path, capsys, doc, digest, rows, tree_values):
     assert main(["invert", write_doc(tmp_path, doc), "--det"]) == 0

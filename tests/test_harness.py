@@ -193,12 +193,12 @@ def test_determinant_reduction_draws_a_proper_subset(d):
 
 
 def test_verify_sees_an_exponential_corrupted_at_size_n(monkeypatch, capsys):
-    # the size-N coefficients of the tree factors and of exp(-A) reach only
-    # the round trip's densities: the pinned tuples stop at size 4
+    # the size-N coefficients of the tree factors and of exp(-A) reach the
+    # round trip's densities
     original = lagrange_forest.inversion.exponential
 
-    def corrupted(k):
-        e = original(k)
+    def corrupted(k, *keys):
+        e = original(k, *keys)
         table = {
             key: e.table.get(key, 0) + (len(key) == 5) for key in all_keys(e.colors, e.order)
         }
@@ -209,6 +209,26 @@ def test_verify_sees_an_exponential_corrupted_at_size_n(monkeypatch, capsys):
     assert main(argv) == 1
     lines = capsys.readouterr().out.splitlines()
     assert any(line.startswith("FAIL round-trip") for line in lines)
+
+
+def test_verify_checks_the_query_at_size_n(monkeypatch, capsys):
+    # the pinned tuples of lagrange-good reach size --N: one wrong size-5
+    # coefficient of the query exponential fails it, the round trip
+    # (which never reads that exponential) passes
+    original = lagrange_forest.inversion._pinned_exponential
+
+    def corrupted(kernels, key):
+        e = original(kernels, key)
+        table = dict(e.table)
+        if len(key) == 5:
+            table[key] = table.get(key, 0) + 1
+        return TruncatedSeries(e.colors, e.order, table)
+
+    monkeypatch.setattr(lagrange_forest.inversion, "_pinned_exponential", corrupted)
+    assert main(["verify", "all", "--d", "2", "--N", "5", "--trials", "1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("FAIL lagrange-good") for line in lines)
+    assert "PASS round-trip (1 trials)" in lines
 
 
 def test_verify_failure_prints_reproduce_line(monkeypatch, capsys):

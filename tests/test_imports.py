@@ -62,6 +62,32 @@ def test_combinat_imports_series_only_for_type_checking():
     assert all(series_imports)
 
 
+def _names(tree: ast.AST) -> set[str]:
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
+def test_tree_route_and_combinat_never_reach_the_query_exponential():
+    # the per-key down-set exponential belongs to the determinant route's
+    # queries; the tree side of lagrange-good must not be built from it
+    helper = "_pinned_exponential"
+    tree = ast.parse((PACKAGE / "inversion.py").read_text(encoding="utf-8"))
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert helper in defs
+    reached, todo = set(), ["solve_tree_fixed_point"]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo.extend(_names(defs[name]) & set(defs))
+    assert helper not in reached, sorted(reached)
+    combinat = ast.parse((PACKAGE / "combinat.py").read_text(encoding="utf-8"))
+    assert helper not in _names(combinat)
+
+
 def test_helpers_import_no_private_library_name():
     for targets, _ in imports(HELPERS):
         for target in targets:
@@ -140,12 +166,7 @@ def test_every_public_definition_has_a_caller():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
     }
     # a re-export in __init__ is an import, not a Name, so it does not count
-    used = {
-        node.id if isinstance(node, ast.Name) else node.attr
-        for tree in sources.values()
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute))
-    }
+    used = set().union(*(_names(tree) for tree in sources.values()))
     unused = sorted(
         f"{module}.{name}"
         for module, name in defined

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from functools import reduce
+from itertools import combinations
 from math import factorial
 
 import pytest
@@ -20,6 +21,7 @@ from lagrange_forest import (
 from lagrange_forest.combinat import det_coefficient_via_crowns
 from lagrange_forest.harness import random_kernel_family, random_series
 from lagrange_forest.inversion import (
+    _pinned_exponential,
     finite_matrix_determinant,
     forward_density,
     lagrange_good_coefficient,
@@ -41,7 +43,13 @@ from lagrange_forest.series import (
     variational_derivative,
 )
 
-from helpers import PRODUCT_POOL, folded_product_coefficient, fredholm_oracle, series_from
+from helpers import (
+    PRODUCT_POOL,
+    exponential_oracle,
+    folded_product_coefficient,
+    fredholm_oracle,
+    series_from,
+)
 
 A = ColorSet(("a",))
 AB = ColorSet(("a", "b"))
@@ -401,6 +409,48 @@ def test_univariate_zero_kernel_is_identity_composition():
 def test_univariate_check_random():
     report = univariate_lagrange_check(["1/2", -1, 0, 1], [0, 1, "1/3", 2, -1], 4)
     assert report.passed, report.describe()
+
+
+# ---------------------------------------------------------------------------
+# the per-key query exponential, built on the key's down-set
+
+
+def _query_family(d: int, order: int, sparse: bool) -> FamilySeries:
+    # dense: a PRODUCT_POOL value (mixed denominators, one zero) at every key
+    # of size 1..order for every pinned color; sparse: every third entry
+    rng = random.Random(f"down-set:{d}:{order}")
+    colors = ColorSet(tuple("abcd"[:d]))
+    entries = [
+        (q, key, rng.choice(PRODUCT_POOL))
+        for q in colors.names
+        for key in all_keys(colors, order)
+        if key
+    ]
+    return make_kernel_family(colors, order, entries[::3] if sparse else entries)
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+@pytest.mark.parametrize("d,order", [(1, 7), (2, 6), (3, 5), (4, 4)])
+def test_query_exponential_lives_on_the_down_set(d, order, sparse):
+    kernels = _query_family(d, order, sparse)
+    colors = kernels.colors
+    for key in all_keys(colors, order):
+        if not key:
+            continue
+        down_set = {
+            tuple(sorted(sub)) for r in range(len(key) + 1) for sub in combinations(key, r)
+        }
+        summed = reduce(add, (kernels.members[q] for q in key))
+        pinned = _pinned_exponential(kernels, key)
+        assert pinned.order == len(key)
+        assert set(pinned.table) <= down_set, key
+        restricted = series_from(
+            colors, len(key), {s: summed.table[s] for s in down_set if s in summed.table}
+        )
+        full = exponential(restricted).table
+        assert pinned.table == {s: v for s, v in full.items() if s in down_set}, key
+        for s in down_set:
+            assert pinned.coefficient(s) == exponential_oracle(summed, s), (key, s)
 
 
 # ---------------------------------------------------------------------------
