@@ -6,14 +6,15 @@ lifts it to the inverse measure series. The determinant route expresses
 coefficients of any composed observable through a truncated Fredholm
 determinant det(Id - L), the signed sum over the crowns that are the cycles
 of L. One routine computes it, and its reduction to a finite matrix over a
-color subset, by elimination over the series ring. The cancellation between
-the two routes can be checked exactly.
+color subset, by elimination over the series ring; each query runs its own
+exponential, in integers on its key's sub-multisets. The cancellation
+between the two routes can be checked exactly.
 
 Every function takes the kernel family itself, a
 :class:`~lagrange_forest.series.FamilySeries` whose member at q is the
 kernel pinned at q. What several queries or suites read again for one
-family (the Fredholm determinant and the tree solution) sits in bounded
-``lru_cache``s keyed on the family's identity.
+family (the Fredholm determinant, also in integers, and the tree solution)
+sits in bounded ``lru_cache``s keyed on the family's identity.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import factorial
+from itertools import product
+from math import comb, factorial, lcm, prod
 from typing import Iterable, Sequence
 
 from .errors import ColorSetMismatch, EmptySubset, KeyTooLarge, OrderMismatch
@@ -29,13 +31,12 @@ from .reports import IdentityReport, first_mismatch, report_fail, report_pass
 from .series import (
     ColorSet,
     FamilySeries,
+    Key,
     TruncatedSeries,
     _Monomials,
     _atom,
     _compose_table,
     _reciprocal,
-    _split_sum,
-    _splits,
     add,
     all_keys,
     canonical_key,
@@ -160,15 +161,85 @@ def finite_matrix_determinant(
     return _determinant(kernels, labels)
 
 
-def _pinned_exponential(kernels: FamilySeries, key: tuple[str, ...]) -> TruncatedSeries:
-    """exp of the sum of the kernels pinned at the colors of ``key``, on its down-set.
+@lru_cache(maxsize=256)
+def _box(counts: tuple[int, ...]) -> tuple[list[tuple[int, ...]], list[list], list[list]]:
+    """The sub-multisets of a key with these color counts, as a mixed-radix box.
 
-    A query at ``key`` reads it only at the key's prod_c (n_c + 1)
-    sub-multisets, so it is built there alone, cheaply enough not to cache.
+    Points are count vectors s <= counts, the last color fastest, so a point's
+    sub-multisets come first. Each lists its splits (S, s - S) as index pairs
+    weighted prod_c C(s_c, S_c) and, for the exponential, those where S holds
+    its first position, with C(s_c0 - 1, S_c0 - 1) for its first color c0.
     """
-    down_set = sorted((part for part, _, _ in _splits(key) if part), key=len)
-    summed = {s: sum(kernels.members[q].table.get(s, 0) for q in key) for s in down_set}
-    return exponential(TruncatedSeries(kernels.colors, len(key), summed), down_set)
+    points = list(product(*(range(n + 1) for n in counts)))
+    index = {s: t for t, s in enumerate(points)}
+    splits, first_splits = [], []
+    for s in points:
+        splits.append([
+            (index[part], index[tuple(m - p for m, p in zip(s, part))], prod(map(comb, s, part)))
+            for part in product(*(range(m + 1) for m in s))
+        ])
+        c0 = next((c for c, m in enumerate(s) if m), 0)
+        # C(s_c0 - 1, S_c0 - 1) = C(s_c0, S_c0) S_c0 / s_c0
+        first_splits.append(
+            [(a, b, w * points[a][c0] // s[c0]) for a, b, w in splits[-1] if points[a][c0]]
+        )
+    return points, splits, first_splits
+
+
+@lru_cache(maxsize=4)
+def _query_tables(kernels: FamilySeries) -> tuple[int, dict, dict, int]:
+    """The kernels and the Fredholm determinant in integers, once per family.
+
+    The kernel pinned at q holds A_q[s] D^|s| at s, D the lcm of the kernels'
+    denominators; the determinant holds its numerators over their lcm.
+    """
+    den = lcm(*(v.denominator for m in kernels.members.values() for v in m.table.values()))
+    scaled = {
+        q: {s: int(v * den ** len(s)) for s, v in m.table.items()}
+        for q, m in kernels.members.items()
+    }
+    det = fredholm_determinant(kernels).table
+    det_den = lcm(*(v.denominator for v in det.values()))
+    return den, scaled, {s: int(v * det_den) for s, v in det.items()}, det_den
+
+
+def _box_exponential(kernels: FamilySeries, key: Key) -> tuple[list[Key], list[int], int]:
+    """exp of the sum of the kernels pinned at the colors of ``key``, on its box.
+
+    The first-block recurrence runs over the key's prod_c (n_c + 1)
+    sub-multisets alone. Returns them in box order, the coefficients there
+    times D^|s| (integers), and D (see :func:`_query_tables`).
+    """
+    colors = tuple(dict.fromkeys(key))
+    counts = tuple(map(key.count, colors))
+    points, _, first_splits = _box(counts)
+    keys = [tuple(c for c, m in zip(colors, s) for _ in range(m)) for s in points]
+    den, scaled, _, _ = _query_tables(kernels)
+    summed = [sum(n * scaled[c].get(s, 0) for c, n in zip(colors, counts)) for s in keys]
+    exp = [1]
+    for pairs in first_splits[1:]:
+        exp.append(sum(w * summed[a] * exp[b] for a, b, w in pairs))
+    return keys, exp, den
+
+
+def _query(kernels: FamilySeries, key: Key, phi: TruncatedSeries) -> Fraction:
+    """[x^key] phi times the pinned exponential times det(Id - L), in integers.
+
+    A split sum over the key's box of phi, where non-zero, times the split
+    sum of the other two factors, over D^|key| and the other denominators.
+    """
+    keys, exp, den = _box_exponential(kernels, key)
+    _, splits, _ = _box(tuple(map(key.count, dict.fromkeys(key))))
+    _, _, det, det_den = _query_tables(kernels)
+    det = [det.get(s, 0) for s in keys]
+    exp = [e * den ** (len(key) - len(s)) for e, s in zip(exp, keys)]
+    phi_den = lcm(*(phi.table.get(s, 0).denominator for s in keys))
+    phi_num = [int(phi.table.get(s, 0) * phi_den) for s in keys]
+    total = sum(
+        w * phi_num[a] * sum(u * exp[x] * det[y] for x, y, u in splits[b])
+        for a, b, w in splits[-1] if phi_num[a]
+    )
+    return Fraction(total, den ** len(key) * det_den * phi_den)
 
 
 def _pinned_key(kernels: FamilySeries, q_tuple: Sequence[str]) -> tuple[str, ...]:
@@ -188,18 +259,15 @@ def lagrange_good_coefficient(
     """Coefficient of the composed observable, via the determinant formula.
 
     Returns the coefficient at ``q_tuple`` of phi times the exponential of
-    the kernels pinned at the tuple's colors times the Fredholm determinant.
-    The coefficient is read by a split sum over the sub-multisets of the
-    tuple, so each factor is read only there and no product is formed; the
-    exponential factor is built on those sub-multisets alone.
+    the kernels pinned at the tuple's colors times the Fredholm determinant,
+    read on the tuple's sub-multisets alone: no product is formed.
     """
     key = _pinned_key(kernels, q_tuple)
     if phi.colors != kernels.colors:
         raise ColorSetMismatch(f"{phi.colors.names} vs {kernels.colors.names}")
     if phi.order < len(key):
         raise OrderMismatch(f"phi of order {phi.order} read at size {len(key)}")
-    pinned_exp = _pinned_exponential(kernels, key)
-    return _split_sum((phi, pinned_exp, fredholm_determinant(kernels)), key)
+    return _query(kernels, key, phi)
 
 
 def magic_sum(kernels: FamilySeries, q_tuple: Sequence[str]) -> Fraction:
@@ -208,12 +276,10 @@ def magic_sum(kernels: FamilySeries, q_tuple: Sequence[str]) -> Fraction:
     Splits the tuple's positions into a subset fed to the pinned exponential
     and a complement fed to the Fredholm determinant, and sums the products
     of the corresponding coefficients over all splits: the coefficient of
-    their product at the tuple, read by the same split sum as
-    :func:`lagrange_good_coefficient`.
+    their product at the tuple, read as by :func:`lagrange_good_coefficient`.
     """
     key = _pinned_key(kernels, q_tuple)
-    pinned_exp = _pinned_exponential(kernels, key)
-    return _split_sum((pinned_exp, fredholm_determinant(kernels)), key)
+    return _query(kernels, key, constant_series(kernels.colors, len(key), 1))
 
 
 def inverse_via_determinant(

@@ -16,8 +16,7 @@ on the densities and lift only where atoms are read.
 Every kernel is polynomial in the number of keys: a product convolves the
 monomial coefficients f[key] / prod_c n_c! in integers, over the pairs of
 keys whose sizes fit the order; the exponential and the reciprocal recur
-over the sub-multisets S of a key, E[key] = sum_S weight(S) K[S] E[key - S],
-the exponential over any down-set of keys, such as one key's sub-multisets;
+over the sub-multisets S of a key, E[key] = sum_S weight(S) K[S] E[key - S];
 and composition with a measure sums g_J prod_q W_q^(J_q) / J_q! over g's
 keys J, W being the atoms of the substituted measure. No kernel enumerates
 set partitions.
@@ -277,27 +276,7 @@ def _splits(key: Key) -> Iterator[tuple[Key, Key, int]]:
         yield part, rest, weight
 
 
-def _split_sum(factors: Sequence[TruncatedSeries], key: Key) -> Fraction:
-    """Coefficient at a canonical key of the product of ``factors``, read directly.
-
-    The product's coefficient is a sum over the ways of handing the key's
-    positions to the factors. Shares of the first factor with the same
-    colors give equal terms, so the sum runs over the sub-multisets S of the
-    key, weighted by prod_c C(n_c, s_c), and recurses on the rest. Only
-    coefficients at sub-multisets of the key are read; no product is formed.
-    """
-    first, *rest = factors
-    if not rest:
-        return first.table.get(key, Fraction(0))
-    total = Fraction(0)
-    for part, remainder, weight in _splits(key):
-        value = first.table.get(part)
-        if value is not None:
-            total += weight * value * _split_sum(rest, remainder)
-    return total
-
-
-def exponential(k: TruncatedSeries, keys: Iterable[Key] | None = None) -> TruncatedSeries:
+def exponential(k: TruncatedSeries) -> TruncatedSeries:
     """Exponential of a series with vanishing constant term.
 
     The coefficient at a tuple is the sum over set partitions of its
@@ -305,29 +284,23 @@ def exponential(k: TruncatedSeries, keys: Iterable[Key] | None = None) -> Trunca
     It is computed by splitting off the block S that holds the key's first
     position: E[key] = sum_S C(n_c0 - 1, s_c0 - 1) prod_{c != c0} C(n_c, s_c)
     K[S] E[key - S], over the sub-multisets S of the key containing its first
-    color c0, where n and s count the colors of the key and of S. The
-    recurrence runs over ``keys``, a down-set of non-empty keys in size
-    order, and the result is zero off it: by default ``keys`` is every key
-    of size 1..order over K's support colors.
+    color c0, where n and s count the colors of the key and of S.
     """
     if k.f0:
         raise NonzeroConstantTerm("exponential needs a vanishing constant term")
-    if keys is None:
-        support = k.support_colors()
-        keys = (
-            key for n in range(1, k.order + 1) for key in combinations_with_replacement(support, n)
-        )
+    support = k.support_colors()
     out: dict[Key, Fraction] = {(): Fraction(1)}
-    for key in keys:
-        total = Fraction(0)
-        # the blocks holding the first position are that position plus any
-        # sub-multiset of the other positions
-        for part, rest, weight in _splits(key[1:]):
-            value = k.table.get(key[:1] + part)
-            if value is not None and rest in out:
-                total += weight * value * out[rest]
-        if total:
-            out[key] = total
+    for n in range(1, k.order + 1):
+        for key in combinations_with_replacement(support, n):
+            total = Fraction(0)
+            # the blocks holding the first position are that position plus
+            # any sub-multiset of the other positions
+            for part, rest, weight in _splits(key[1:]):
+                value = k.table.get(key[:1] + part)
+                if value is not None and rest in out:
+                    total += weight * value * out[rest]
+            if total:
+                out[key] = total
     return TruncatedSeries(k.colors, k.order, out)
 
 
@@ -386,9 +359,9 @@ class FamilySeries:
     being the kernel pinned at q. A measure-valued series is one too, stored
     as its atoms: ``members[q]`` is the atom at q, and :meth:`evaluate` sums
     the atoms over a subset. A family hashes by identity, so the package's
-    caches (the Fredholm determinant, the tree solution, the tree and map
-    sums of :mod:`combinat`) key on the object: build it once and do not
-    mutate its members afterwards.
+    caches (the Fredholm determinant and its integer tables, the tree
+    solution, the tree and map sums of :mod:`combinat`) key on the object:
+    build it once and do not mutate its members afterwards.
     Equality compares the colors, the order and the members.
     """
 

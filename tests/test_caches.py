@@ -20,6 +20,7 @@ from lagrange_forest.combinat import (
 )
 from lagrange_forest.cli import dump_document, main
 from lagrange_forest.harness import SuiteConfig, run_suite
+from lagrange_forest.inversion import _query_tables
 
 
 def test_invert_det_computes_one_determinant(tmp_path):
@@ -36,11 +37,15 @@ def test_invert_det_computes_one_determinant(tmp_path):
     config = tmp_path / "problem.json"
     config.write_text(dump_document(doc))
     fredholm_determinant.cache_clear()
+    _query_tables.cache_clear()
     assert main(["invert", str(config), "--det"]) == 0
-    info = fredholm_determinant.cache_info()
     keys = 2 + 3 + 4 + 5  # non-empty keys of size <= 4 over two colors
+    assert fredholm_determinant.cache_info().misses == 1
+    # the determinant enters the integer tables once; every query reads them
+    # twice, for the exponential and for the product
+    info = _query_tables.cache_info()
     assert info.misses == 1
-    assert info.hits == keys - 1
+    assert info.hits == 2 * keys - 1
 
 
 def test_verify_trial_computes_one_determinant():
@@ -76,6 +81,8 @@ def test_every_cache_is_bounded():
         "combinat._map_sum",
         "inversion.fredholm_determinant",
         "inversion.solve_tree_fixed_point",
+        "inversion._box",
+        "inversion._query_tables",
     } <= set(found)
     assert all(maxsize is not None for maxsize in found.values()), found
 

@@ -215,16 +215,15 @@ def test_verify_checks_the_query_at_size_n(monkeypatch, capsys):
     # the pinned tuples of lagrange-good reach size --N: one wrong size-5
     # coefficient of the query exponential fails it, the round trip
     # (which never reads that exponential) passes
-    original = lagrange_forest.inversion._pinned_exponential
+    original = lagrange_forest.inversion._box_exponential
 
     def corrupted(kernels, key):
-        e = original(kernels, key)
-        table = dict(e.table)
-        if len(key) == 5:
-            table[key] = table.get(key, 0) + 1
-        return TruncatedSeries(e.colors, e.order, table)
+        keys, numerators, den = original(kernels, key)
+        if len(key) == 5:  # the key itself is the box's last entry
+            numerators = numerators[:-1] + [numerators[-1] + den**5]
+        return keys, numerators, den
 
-    monkeypatch.setattr(lagrange_forest.inversion, "_pinned_exponential", corrupted)
+    monkeypatch.setattr(lagrange_forest.inversion, "_box_exponential", corrupted)
     assert main(["verify", "all", "--d", "2", "--N", "5", "--trials", "1"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert any(line.startswith("FAIL lagrange-good") for line in lines)

@@ -71,21 +71,21 @@ def _names(tree: ast.AST) -> set[str]:
 
 
 def test_tree_route_and_combinat_never_reach_the_query_exponential():
-    # the per-key down-set exponential belongs to the determinant route's
-    # queries; the tree side of lagrange-good must not be built from it
-    helper = "_pinned_exponential"
+    # the per-key box kernel belongs to the determinant route's queries; the
+    # tree side of lagrange-good must not be built from it
+    helpers = {"_box", "_box_exponential", "_query"}
     tree = ast.parse((PACKAGE / "inversion.py").read_text(encoding="utf-8"))
     defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    assert helper in defs
+    assert helpers <= set(defs)
     reached, todo = set(), ["solve_tree_fixed_point"]
     while todo:
         name = todo.pop()
         if name not in reached:
             reached.add(name)
             todo.extend(_names(defs[name]) & set(defs))
-    assert helper not in reached, sorted(reached)
+    assert not helpers & reached, sorted(reached)
     combinat = ast.parse((PACKAGE / "combinat.py").read_text(encoding="utf-8"))
-    assert helper not in _names(combinat)
+    assert not helpers & _names(combinat)
 
 
 def test_helpers_import_no_private_library_name():

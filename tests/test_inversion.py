@@ -21,7 +21,7 @@ from lagrange_forest import (
 from lagrange_forest.combinat import det_coefficient_via_crowns
 from lagrange_forest.harness import random_kernel_family, random_series
 from lagrange_forest.inversion import (
-    _pinned_exponential,
+    _box_exponential,
     finite_matrix_determinant,
     forward_density,
     lagrange_good_coefficient,
@@ -44,7 +44,6 @@ from lagrange_forest.series import (
 )
 
 from helpers import (
-    PRODUCT_POOL,
     exponential_oracle,
     folded_product_coefficient,
     fredholm_oracle,
@@ -309,21 +308,49 @@ def test_magic_sum_random_instances():
                 assert magic_sum(kernels, key) == 0
 
 
-@pytest.mark.parametrize("d,order", [(1, 7), (2, 6), (3, 5)])
-def test_split_sum_reads_match_folded_products(d, order):
-    # both queries read one coefficient of a product by a split sum; the
-    # full products, folded with multiply, must give the same value at
-    # every key
+# kernel values over denominators 1, 2, 3, 5 and 7, a zero and one value
+# above 2**64; phi over denominators of its own
+QUERY_POOL = tuple(map(Fraction, ("1", "-1/2", "2/3", "-3/5", "4/7", "0", str(5 * 2**64 + 1))))
+PHI_POOL = tuple(map(Fraction, ("1/11", "-4/13", "6/17", "0", "-1")))
+QUERY_SHAPES = [(1, 7), (2, 6), (3, 5), (4, 4)]
+
+
+def _query_family(d: int, order: int, sparse: bool) -> FamilySeries:
+    # dense: a QUERY_POOL value at every key of size 1..order for every
+    # pinned color; sparse: every third entry
+    rng = random.Random(f"down-set:{d}:{order}")
+    colors = ColorSet(tuple("abcd"[:d]))
+    entries = [
+        (q, key, rng.choice(QUERY_POOL))
+        for q in colors.names
+        for key in all_keys(colors, order)
+        if key
+    ]
+    return make_kernel_family(colors, order, entries[::3] if sparse else entries)
+
+
+@pytest.mark.parametrize(
+    "d,order,sparse",
+    [
+        pytest.param(d, order, sparse, id=f"{d}-{order}" + "-sparse" * sparse)
+        for sparse in (False, True)
+        for d, order in QUERY_SHAPES
+    ],
+)
+def test_split_sum_reads_match_folded_products(d, order, sparse):
+    # both queries read one coefficient of a product by a split sum over the
+    # key's box, in integers over one common denominator; the full products,
+    # folded with multiply, must give the same value at every key
+    kernels = _query_family(d, order, sparse)
+    colors = kernels.colors
     rng = random.Random(f"split:{d}")
-    colors = ColorSet(tuple("abc"[:d]))
-    keys = [key for key in all_keys(colors, order) if key]
-    entries = [(q, key, rng.choice(PRODUCT_POOL)) for q in colors.names for key in keys]
-    kernels = make_kernel_family(colors, order, entries)
     phi = series_from(
-        colors, order, {key: rng.choice(PRODUCT_POOL) for key in all_keys(colors, order)}
+        colors, order, {key: rng.choice(PHI_POOL) for key in all_keys(colors, order)}
     )
     det = fredholm_determinant(kernels)
-    for key in keys:
+    for key in all_keys(colors, order):
+        if not key:
+            continue
         pinned_exp = exponential(reduce(add, (kernels.members[q] for q in key)))
         want = folded_product_coefficient((phi, pinned_exp, det), key)
         assert lagrange_good_coefficient(kernels, phi, key) == want, key
@@ -415,20 +442,6 @@ def test_univariate_check_random():
 # the per-key query exponential, built on the key's down-set
 
 
-def _query_family(d: int, order: int, sparse: bool) -> FamilySeries:
-    # dense: a PRODUCT_POOL value (mixed denominators, one zero) at every key
-    # of size 1..order for every pinned color; sparse: every third entry
-    rng = random.Random(f"down-set:{d}:{order}")
-    colors = ColorSet(tuple("abcd"[:d]))
-    entries = [
-        (q, key, rng.choice(PRODUCT_POOL))
-        for q in colors.names
-        for key in all_keys(colors, order)
-        if key
-    ]
-    return make_kernel_family(colors, order, entries[::3] if sparse else entries)
-
-
 @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
 @pytest.mark.parametrize("d,order", [(1, 7), (2, 6), (3, 5), (4, 4)])
 def test_query_exponential_lives_on_the_down_set(d, order, sparse):
@@ -441,16 +454,16 @@ def test_query_exponential_lives_on_the_down_set(d, order, sparse):
             tuple(sorted(sub)) for r in range(len(key) + 1) for sub in combinations(key, r)
         }
         summed = reduce(add, (kernels.members[q] for q in key))
-        pinned = _pinned_exponential(kernels, key)
-        assert pinned.order == len(key)
-        assert set(pinned.table) <= down_set, key
+        keys, numerators, den = _box_exponential(kernels, key)
+        assert len(keys) == len(down_set) and set(keys) == down_set, key
+        pinned = {s: Fraction(v, den ** len(s)) for s, v in zip(keys, numerators)}
         restricted = series_from(
             colors, len(key), {s: summed.table[s] for s in down_set if s in summed.table}
         )
         full = exponential(restricted).table
-        assert pinned.table == {s: v for s, v in full.items() if s in down_set}, key
+        assert pinned == {s: full.get(s, Fraction(0)) for s in down_set}, key
         for s in down_set:
-            assert pinned.coefficient(s) == exponential_oracle(summed, s), (key, s)
+            assert pinned[s] == exponential_oracle(summed, s), (key, s)
 
 
 # ---------------------------------------------------------------------------
