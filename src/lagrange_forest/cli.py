@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .combinat import (
+    _check_cap,
     enumerate_crowns,
     enumerate_enriched_maps,
     enumerate_rooted_trees,
@@ -280,6 +281,9 @@ def cmd_enumerate(structure: str, n: int, sinks: int, do_list: bool) -> int:
         print("error: sizes must be non-negative", file=sys.stderr)
         return 2
     try:
+        # refuse from the sizes alone, before any vertex list is built; an
+        # empty domain has no maps or trees whatever the sinks
+        _check_cap({"maps": n and n + sinks, "trees": n and n + 1}.get(structure, n))
         if structure == "partitions":
             items = set_partitions(n)
             renders = [
@@ -289,8 +293,7 @@ def cmd_enumerate(structure: str, n: int, sinks: int, do_list: bool) -> int:
         else:
             domain = range(1, n + 1)
             if structure == "maps":
-                sink_labels = [-i for i in range(sinks)]
-                items = enumerate_enriched_maps(domain, sink_labels)
+                items = enumerate_enriched_maps(domain, range(0, -sinks, -1))
             elif structure == "trees":
                 items = enumerate_rooted_trees(domain, sink=0)
             else:  # crowns

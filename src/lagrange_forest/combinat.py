@@ -151,11 +151,11 @@ def enumerate_enriched_maps(domain: Iterable[int], sinks: Iterable[int] = ()) ->
     ``MAX_ENUMERATION``.
     """
     dom = tuple(sorted(set(domain)))
+    if not dom:
+        return []
     snk = tuple(sorted(set(sinks)))
     if set(dom) & set(snk):
         raise ValueError("domain and sinks must be disjoint")
-    if not dom:
-        return []
     _check_cap(len(dom) + len(snk))
     return list(_iter_maps(dom, snk))
 

@@ -27,7 +27,7 @@ from math import comb, factorial, lcm, prod
 from typing import Iterable, Sequence
 
 from .errors import ColorSetMismatch, EmptySubset, KeyTooLarge, OrderMismatch
-from .reports import IdentityReport, first_mismatch, report_fail, report_pass
+from .reports import IdentityReport, first_mismatch
 from .series import (
     ColorSet,
     FamilySeries,
@@ -169,6 +169,7 @@ def _box(counts: tuple[int, ...]) -> tuple[list[tuple[int, ...]], list[list], li
     sub-multisets come first. Each lists its splits (S, s - S) as index pairs
     weighted prod_c C(s_c, S_c) and, for the exponential, those where S holds
     its first position, with C(s_c0 - 1, S_c0 - 1) for its first color c0.
+    Callers pass the counts largest first, so keys of one shape share a box.
     """
     points = list(product(*(range(n + 1) for n in counts)))
     index = {s: t for t, s in enumerate(points)}
@@ -210,10 +211,10 @@ def _box_exponential(kernels: FamilySeries, key: Key) -> tuple[list[Key], list[i
     sub-multisets alone. Returns them in box order, the coefficients there
     times D^|s| (integers), and D (see :func:`_query_tables`).
     """
-    colors = tuple(dict.fromkeys(key))
+    colors = sorted(set(key), key=lambda c: (-key.count(c), c))
     counts = tuple(map(key.count, colors))
     points, _, first_splits = _box(counts)
-    keys = [tuple(c for c, m in zip(colors, s) for _ in range(m)) for s in points]
+    keys = [canonical_key(c for c, m in zip(colors, s) for _ in range(m)) for s in points]
     den, scaled, _, _ = _query_tables(kernels)
     summed = [sum(n * scaled[c].get(s, 0) for c, n in zip(colors, counts)) for s in keys]
     exp = [1]
@@ -229,7 +230,7 @@ def _query(kernels: FamilySeries, key: Key, phi: TruncatedSeries) -> Fraction:
     sum of the other two factors, over D^|key| and the other denominators.
     """
     keys, exp, den = _box_exponential(kernels, key)
-    _, splits, _ = _box(tuple(map(key.count, dict.fromkeys(key))))
+    _, splits, _ = _box(tuple(sorted(map(key.count, set(key)), reverse=True)))
     _, _, det, det_den = _query_tables(kernels)
     det = [det.get(s, 0) for s in keys]
     exp = [e * den ** (len(key) - len(s)) for e, s in zip(exp, keys)]
@@ -397,7 +398,8 @@ def univariate_lagrange_check(
     computed (a) through the colored tree solution, (b) as the order-n
     monomial coefficient of f(z) rho'(z) / (rho(z)/z)**(n+1), and (c) as
     1/n times the order-(n-1) coefficient of f'(z) / (rho(z)/z)**n, where
-    rho(z) = z exp(-A(z)). All three must agree exactly for n = 1..order.
+    rho(z) = z exp(-A(z)). All three must agree exactly for n = 1..order:
+    each n gives one case per formula, (b) then (c), expected (a).
 
     ``kernel_coeffs`` and ``outer_coeffs`` use the exponential convention
     (entry m is m! times the monomial coefficient); ``outer_coeffs`` starts
@@ -437,21 +439,17 @@ def univariate_lagrange_check(
     rho_prime = _u_deriv(rho)
     f_prime = _u_deriv(f_mono)
 
-    for n in range(1, order + 1):
-        via_trees = composed.coefficient((x,) * n) / factorial(n)
-        with_derivative = _u_mul(
-            _u_mul(f_mono, rho_prime, n), _u_recip(_u_pow(base, n + 1, n), n), n
-        )[n]
-        without_derivative = (
-            _u_mul(f_prime, _u_recip(_u_pow(base, n, n - 1), n - 1), n - 1)[n - 1]
-            / n
-        )
-        if not (via_trees == with_derivative == without_derivative):
-            return report_fail(
-                "univariate-inversion",
-                (str(n),),
-                via_trees,
-                f"{with_derivative} / {without_derivative}",
-                n=n,
+    def cases():
+        for n in range(1, order + 1):
+            via_trees = composed.coefficient((x,) * n) / factorial(n)
+            with_derivative = _u_mul(
+                _u_mul(f_mono, rho_prime, n), _u_recip(_u_pow(base, n + 1, n), n), n
+            )[n]
+            yield (str(n),), via_trees, with_derivative, {"formula": "with-derivative"}
+            without_derivative = (
+                _u_mul(f_prime, _u_recip(_u_pow(base, n, n - 1), n - 1), n - 1)[n - 1]
+                / n
             )
-    return report_pass("univariate-inversion", order=order)
+            yield (str(n),), via_trees, without_derivative, {"formula": "without-derivative"}
+
+    return first_mismatch("univariate-inversion", cases())

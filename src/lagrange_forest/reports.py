@@ -45,26 +45,6 @@ class IdentityReport:
         )
 
 
-def _params(params: dict[str, object]) -> tuple[tuple[str, str], ...]:
-    return tuple((k, str(v)) for k, v in params.items())
-
-
-def report_pass(identity: str, **params: object) -> IdentityReport:
-    return IdentityReport(identity, _params(params))
-
-
-def report_fail(
-    identity: str,
-    location: tuple[str, ...],
-    expected: object,
-    got: object,
-    **params: object,
-) -> IdentityReport:
-    return IdentityReport(
-        identity, _params(params), Witness(tuple(location), str(expected), str(got))
-    )
-
-
 def first_mismatch(
     identity: str, cases: Iterable[tuple], **params: object
 ) -> IdentityReport:
@@ -77,8 +57,10 @@ def first_mismatch(
     checks = 0
     for location, expected, got, *case_params in cases:
         if expected != got:
-            return report_fail(
-                identity, location, expected, got, **params, **dict(*case_params)
-            )
+            params = {**params, **dict(*case_params)}
+            witness = Witness(tuple(location), str(expected), str(got))
+            break
         checks += 1
-    return report_pass(identity, checks=checks, **params)
+    else:
+        params, witness = {"checks": checks, **params}, None
+    return IdentityReport(identity, tuple((k, str(v)) for k, v in params.items()), witness)

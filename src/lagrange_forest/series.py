@@ -1,11 +1,12 @@
 """Exact truncated power series over a finite color set.
 
 A scalar series is stored as a sparse table mapping canonical coefficient
-keys (sorted tuples of color labels) to rationals; the table holds the
-symmetric-function values of the coefficients, so a key stands for every
-permutation of its colors. All operations truncate silently at the series
-order, which is sound because a coefficient of a given size never depends
-on larger coefficients of the inputs.
+keys (sorted tuples of color labels) to non-zero rationals; the table holds
+the symmetric-function values of the coefficients, so a key stands for every
+permutation of its colors. Every operation builds its table in that normal
+form, and the series takes the table as it is. All operations truncate
+silently at the series order, which is sound because a coefficient of a
+given size never depends on larger coefficients of the inputs.
 
 Function-valued series are families with one member series per color. A
 kernel family is such a family, with vanishing constant terms, and a
@@ -96,8 +97,10 @@ def all_keys(colors: ColorSet, max_size: int) -> Iterator[Key]:
 class TruncatedSeries:
     """Scalar formal power series truncated at ``order``.
 
-    ``table`` maps canonical keys of size <= order to non-zero rationals;
-    absent keys mean a zero coefficient. Instances are immutable; build them
+    ``table`` maps canonical keys of size <= order to non-zero ``Fraction``
+    values; absent keys mean a zero coefficient. The table is handed over,
+    not copied or normalised: its producer builds it in that form, and only
+    a key above the order is rejected. Instances are immutable; build them
     through :func:`make_series` or the arithmetic operations.
     """
 
@@ -108,14 +111,9 @@ class TruncatedSeries:
     def __post_init__(self) -> None:
         if self.order < 0:
             raise ValueError("order must be non-negative")
-        clean: dict[Key, Fraction] = {}
-        for key, value in self.table.items():
+        for key in self.table:
             if len(key) > self.order:
                 raise ValueError(f"internal error: key {key} exceeds order {self.order}")
-            value = Fraction(value)
-            if value:
-                clean[canonical_key(key)] = value
-        object.__setattr__(self, "table", clean)
 
     @property
     def f0(self) -> Fraction:
@@ -149,7 +147,7 @@ def make_series(
         if key in table:
             raise DuplicateKey(f"duplicate canonical key {key}")
         table[key] = Fraction(raw_value)
-    return TruncatedSeries(colors, order, table)
+    return TruncatedSeries(colors, order, {key: v for key, v in table.items() if v})
 
 
 def zero_series(colors: ColorSet, order: int) -> TruncatedSeries:
@@ -157,7 +155,7 @@ def zero_series(colors: ColorSet, order: int) -> TruncatedSeries:
 
 
 def constant_series(colors: ColorSet, order: int, value: RationalLike) -> TruncatedSeries:
-    return TruncatedSeries(colors, order, {(): Fraction(value)})
+    return make_series(colors, order, [((), value)])
 
 
 def indicator_series(
@@ -183,13 +181,13 @@ def add(k: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     table = dict(k.table)
     for key, value in g.table.items():
         table[key] = table.get(key, Fraction(0)) + value
-    return TruncatedSeries(k.colors, k.order, table)
+    return TruncatedSeries(k.colors, k.order, {key: v for key, v in table.items() if v})
 
 
 def scale(k: TruncatedSeries, factor: RationalLike) -> TruncatedSeries:
     factor = Fraction(factor)
     return TruncatedSeries(
-        k.colors, k.order, {key: factor * value for key, value in k.table.items()}
+        k.colors, k.order, {key: factor * v for key, v in k.table.items()} if factor else {}
     )
 
 
@@ -342,8 +340,7 @@ def variational_derivative(k: TruncatedSeries, pins: Sequence[str]) -> Truncated
                 rest.remove(pin)
         except ValueError:  # a pin not in the key
             continue
-        if len(rest) <= new_order:
-            out[tuple(rest)] = value
+        out[tuple(rest)] = value  # of size <= order - len(pins), as the key fits the order
     return TruncatedSeries(k.colors, new_order, out)
 
 
@@ -420,10 +417,12 @@ def _atom(
     q: str, table: dict[Key, Fraction], colors: ColorSet, order: int
 ) -> TruncatedSeries:
     # The atom at q of a density whose member at q has this table: each key
-    # gains one copy of q (the series sorts the new key), weighted by the
-    # multiplicity of q in it. Distinct keys stay distinct.
+    # gains one copy of q, weighted by the multiplicity of q in it. Distinct
+    # keys stay distinct.
     lifted = {
-        key + (q,): v * (key.count(q) + 1) for key, v in table.items() if len(key) < order
+        canonical_key((*key, q)): v * (key.count(q) + 1)
+        for key, v in table.items()
+        if len(key) < order
     }
     return TruncatedSeries(colors, order, lifted)
 
@@ -490,7 +489,7 @@ def _compose_table(g: TruncatedSeries, monomials: _Monomials) -> dict[Key, Fract
         if key and len(key) <= monomials.max_size:
             for merged, value in monomials[key].items():
                 out[merged] = out.get(merged, Fraction(0)) + gv * value
-    return out
+    return {key: v for key, v in out.items() if v}
 
 
 def compose_family(g: TruncatedSeries, family: FamilySeries) -> TruncatedSeries:

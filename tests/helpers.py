@@ -14,7 +14,7 @@ from functools import reduce
 from itertools import combinations, permutations, product
 
 from lagrange_forest.combinat import EnrichedMap
-from lagrange_forest.series import ColorSet, TruncatedSeries, all_keys, multiply
+from lagrange_forest.series import ColorSet, TruncatedSeries, all_keys, make_series, multiply
 
 POOL = (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(2))
 
@@ -29,7 +29,7 @@ PRODUCT_POOL = (
 
 
 def series_from(colors: ColorSet, order: int, table: dict) -> TruncatedSeries:
-    return TruncatedSeries(colors, order, {k: Fraction(v) for k, v in table.items()})
+    return make_series(colors, order, table.items())
 
 
 def bell_number(n: int) -> int:
@@ -98,7 +98,8 @@ def multiply_many(factors) -> TruncatedSeries:
                     tuple(key[p] for p in range(n) if assignment[p] == idx)
                 )
             total += term
-        out[key] = total
+        if total:
+            out[key] = total
     return TruncatedSeries(first.colors, first.order, out)
 
 

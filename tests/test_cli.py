@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -105,11 +106,8 @@ def test_invert_malformed_rational_exits_2(tmp_path, capsys):
     message = capsys.readouterr().err
     assert "1/0" in message
     # line-anchored: path:line
-    expected_line = next(
-        i
-        for i, line in enumerate(open(config, encoding="utf-8"), start=1)
-        if '"1/0"' in line
-    )
+    with open(config, encoding="utf-8") as handle:
+        expected_line = next(i for i, line in enumerate(handle, start=1) if '"1/0"' in line)
     assert f":{expected_line}" in message
 
 
@@ -455,3 +453,21 @@ def test_enumerate_cap_violation_exits_2(capsys):
     assert main(["enumerate", "crowns", "--n", "7"]) == 2
     assert main(["enumerate", "partitions", "--n", "7"]) == 2
     assert capsys.readouterr().err.count("error: ") == 6
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["maps", "--n", "2", "--sinks", "200000"], ["trees", "--n", "200000"],
+     ["crowns", "--n", "200000"]],
+    ids=["maps", "trees", "crowns"],
+)
+def test_enumerate_refuses_from_the_sizes_before_allocating(argv, capsys):
+    # building the vertex lists first would allocate megabytes before the refusal
+    tracemalloc.start()
+    try:
+        assert main(["enumerate", *argv]) == 2
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert "exceeds the cap of 6" in capsys.readouterr().err

@@ -10,7 +10,7 @@ import lagrange_forest.inversion
 from lagrange_forest import SuiteConfig, UnknownSuite, run_suite
 from lagrange_forest.cli import main
 from lagrange_forest.harness import random_kernel_family, random_series
-from lagrange_forest.series import FamilySeries, TruncatedSeries, all_keys, scale
+from lagrange_forest.series import FamilySeries, all_keys, make_series, scale
 
 
 def test_same_seed_gives_identical_families():
@@ -47,7 +47,7 @@ PINNED_REPORTS = {
         "PASS det-vs-crowns [trial=0, checks=10]",
         "PASS forest-factorization [trial=0, checks=120]",
         "PASS determinant-reduction [trial=0, checks=5, subset=('a',)]",
-        "PASS univariate-inversion [trial=0, order=5]",
+        "PASS univariate-inversion [trial=0, checks=10]",
     ],
     3: [
         "PASS lagrange-good [trial=0, checks=34]",
@@ -57,7 +57,7 @@ PINNED_REPORTS = {
         "PASS det-vs-crowns [trial=0, checks=10]",
         "PASS forest-factorization [trial=0, checks=120]",
         "PASS determinant-reduction [trial=0, checks=20, subset=('a', 'c')]",
-        "PASS univariate-inversion [trial=0, order=5]",
+        "PASS univariate-inversion [trial=0, checks=10]",
     ],
 }
 
@@ -157,7 +157,8 @@ CORRUPTIONS = [
      ["FAIL determinant-reduction [trial=0, subset=('b',)] at (b): expected 0, got 1"]),
     ("univariate", lagrange_forest.inversion, "compose_family",
      lambda original: lambda *args: scale(original(*args), 2),
-     ["FAIL univariate-inversion [trial=0, n=1] at (1): expected 2, got 1 / 1"]),
+     ["FAIL univariate-inversion [trial=0, formula=with-derivative] at (1):"
+      " expected 2, got 1"]),
     # _reciprocal inverts the pivots of the determinant's elimination.
     # determinant-reduction cannot see its corruption, because both of its
     # sides run the same determinant routine; det-vs-crowns and lagrange-good
@@ -199,10 +200,10 @@ def test_verify_sees_an_exponential_corrupted_at_size_n(monkeypatch, capsys):
 
     def corrupted(k, *keys):
         e = original(k, *keys)
-        table = {
-            key: e.table.get(key, 0) + (len(key) == 5) for key in all_keys(e.colors, e.order)
-        }
-        return TruncatedSeries(e.colors, e.order, table)
+        table = [
+            (key, e.table.get(key, 0) + (len(key) == 5)) for key in all_keys(e.colors, e.order)
+        ]
+        return make_series(e.colors, e.order, table)
 
     monkeypatch.setattr(lagrange_forest.inversion, "exponential", corrupted)
     argv = ["verify", "all", "--d", "2", "--N", "5", "--trials", "2", "--seed", "1"]

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -27,6 +27,7 @@ from lagrange_forest import (
     UnknownColor,
     fredholm_determinant,
     make_kernel_family,
+    solve_tree_fixed_point,
 )
 from lagrange_forest.harness import SuiteConfig, random_series
 from lagrange_forest.series import (
@@ -489,7 +490,7 @@ def series_triple(draw):
         values = draw(
             st.lists(st.sampled_from(POOL), min_size=len(keys), max_size=len(keys))
         )
-        out.append(TruncatedSeries(colors, order, dict(zip(keys, values))))
+        out.append(make_series(colors, order, zip(keys, values)))
     return out
 
 
@@ -597,3 +598,80 @@ def test_compose_family_matches_assignment_oracle(d, order):
     composed = compose_family(g, fam)
     for key in all_keys(colors, order):
         assert composed.coefficient(key) == compose_oracle(g, fam, key), key
+
+
+# ---------------------------------------------------------------------------
+# the normal form: a series takes its table as built, so every producer must
+# hand over sorted keys of size <= order and non-zero Fraction values
+
+NORMAL_POOL = PRODUCT_POOL + (Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(2))
+
+
+@st.composite
+def producer_inputs(draw):
+    colors = draw(st.sampled_from(COLOR_SETS))
+    order = draw(st.integers(min_value=1, max_value=3))
+    keys = list(all_keys(colors, order))
+
+    def table():
+        values = st.lists(st.sampled_from(NORMAL_POOL), min_size=len(keys), max_size=len(keys))
+        return dict(zip(keys, draw(values)))
+
+    family = {q: table() for q in colors.names}
+    return colors, order, table(), table(), family, draw(st.sampled_from(NORMAL_POOL))
+
+
+def assert_normal(series):
+    for key, value in series.table.items():
+        assert list(key) == sorted(key) and len(key) <= series.order, key
+        assert type(value) is Fraction and value, (key, value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(producer_inputs())
+# one color: k * g, exp(k) and the composition of k cancel at (a) or (a, a)
+@example((A, 2, {(): 1, ("a",): 1, ("a", "a"): -1}, {(): 1, ("a",): -1, ("a", "a"): 0},
+          {"a": {(): 1, ("a",): Fraction(1, 2), ("a", "a"): 0}}, 0))
+# two colors: 1/(1 + k) cancels at (a, a), the atom at a of x_b lands on (b, a)
+@example((AB, 2, {("a",): 1, ("a", "a"): 2, ("a", "b"): Fraction(1, 3)}, {(): Fraction(-2, 7)},
+          {"a": {("b",): 1}, "b": {(): 1, ("a", "b"): 0}}, Fraction(5, 12)))
+def test_every_producer_returns_a_normal_table(inputs):
+    colors, order, k_table, g_table, family_tables, value = inputs
+    # keys reversed: make_series must sort them
+    k = make_series(colors, order, [(key[::-1], v) for key, v in k_table.items()])
+    g = make_series(colors, order, g_table.items())
+    k0 = make_series(colors, order, [(key, v) for key, v in k_table.items() if key])
+    family = FamilySeries(
+        colors, order, {q: make_series(colors, order, t.items()) for q, t in family_tables.items()}
+    )
+    kernels = make_kernel_family(
+        colors,
+        order,
+        [(q, key[::-1], v) for q, t in family_tables.items() for key, v in t.items() if key],
+    )
+    solution = solve_tree_fixed_point(kernels)
+    produced = [
+        k,
+        g,
+        constant_series(colors, order, value),
+        constant_series(colors, order, 0),
+        indicator_series(colors, order, colors.names),
+        zero_series(colors, order),
+        add(k, g),
+        add(k, scale(k, -1)),
+        scale(k, value),
+        scale(k, 0),
+        multiply(k, g),
+        exponential(k0),
+        _reciprocal(add(constant_series(colors, order, 1), k0)),
+        variational_derivative(k, colors.names[-1:]),
+        compose_family(k, family),
+        fredholm_determinant(kernels),
+        *radon_lift(family).members.values(),
+        *compose_measure(family, family).members.values(),
+        *kernels.members.values(),
+        *solution.tree_factors.members.values(),
+        *solution.inverse.members.values(),
+    ]
+    for series in produced:
+        assert_normal(series)
