@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 from lagrange_forest.combinat import EnrichedMap
 from lagrange_forest.series import ColorSet, TruncatedSeries, all_keys, make_series, multiply
@@ -26,6 +26,27 @@ PRODUCT_POOL = (
     Fraction(0),
     Fraction(5 * 2**64 + 1, 3),
 )
+
+
+# the values dense_golden_doc cycles through
+GOLDEN_VALUES = ("1", "-1/2", "1/2", "-1")
+
+
+def dense_golden_doc(colors: str = "ab", order: int = 5) -> dict:
+    """An ``invert`` document with every key of size 1..order for every pinned
+    color, its values cycling through GOLDEN_VALUES."""
+    keys = [
+        (q, key)
+        for q in colors
+        for n in range(1, order + 1)
+        for key in combinations_with_replacement(colors, n)
+    ]
+    groups: dict[int, list] = {}
+    for i, (q, key) in enumerate(keys):
+        entry = {"q": q, "x": list(key), "value": GOLDEN_VALUES[i % 4]}
+        groups.setdefault(len(key), []).append(entry)
+    kernels = [{"n": n, "entries": entries} for n, entries in sorted(groups.items())]
+    return {"colors": list(colors), "order": order, "kernels": kernels}
 
 
 def series_from(colors: ColorSet, order: int, table: dict) -> TruncatedSeries:

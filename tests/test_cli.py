@@ -4,13 +4,14 @@ import hashlib
 import json
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lagrange_forest.cli import dump_document, main
+
+from helpers import dense_golden_doc
 
 
 def write_doc(tmp_path, payload, name="problem.json"):
@@ -309,25 +310,6 @@ def test_invert_mismatch_exits_1(tmp_path, monkeypatch):
 # before the kernel family became a family of series, the three-color one
 # before the per-key exponential was built on the key's down-set. A change of
 # the series representation or of the query must leave every byte alone
-GOLDEN_VALUES = ("1", "-1/2", "1/2", "-1")
-
-
-def dense_golden_doc(colors="ab", order=5):
-    # every key of size 1..order, for every pinned color, cycling values
-    keys = [
-        (q, key)
-        for q in colors
-        for n in range(1, order + 1)
-        for key in combinations_with_replacement(colors, n)
-    ]
-    groups = {}
-    for i, (q, key) in enumerate(keys):
-        entry = {"q": q, "x": list(key), "value": GOLDEN_VALUES[i % 4]}
-        groups.setdefault(len(key), []).append(entry)
-    kernels = [{"n": n, "entries": entries} for n, entries in sorted(groups.items())]
-    return {"colors": list(colors), "order": order, "kernels": kernels}
-
-
 def sparse_golden_doc():
     # the two-entry family a <- b, b <- ab
     return {
@@ -373,6 +355,23 @@ def test_invert_det_stdout_is_pinned(tmp_path, capsys, doc, digest, rows, tree_v
     by_key = {tuple(row["x"]): row for row in result["coefficients"]}
     for key, value in tree_values.items():
         assert by_key[key]["tree"] == by_key[key]["det"] == value
+    assert hashlib.sha256(printed.encode()).hexdigest() == digest
+
+
+# `invert` stdout (the tree route alone) past the orders pinned above: every
+# composition of the fixed point runs at sizes up to 9 and 7 here
+@pytest.mark.parametrize(
+    "colors, order, digest, rows",
+    [
+        ("ab", 9, "19892f3ab28b18cf3ddb7959b80874f1eec535889f74cd2b9b7f73e6727a8d8b", 54),
+        ("abc", 7, "4945441a75e1623380564e811a3082e85120416fc1408abc12fc9a91ba676841", 119),
+    ],
+    ids=["dense-d2-N9", "dense-d3-N7"],
+)
+def test_invert_tree_stdout_is_pinned(tmp_path, capsys, colors, order, digest, rows):
+    assert main(["invert", write_doc(tmp_path, dense_golden_doc(colors, order))]) == 0
+    printed = capsys.readouterr().out
+    assert len(json.loads(printed)["coefficients"]) == rows
     assert hashlib.sha256(printed.encode()).hexdigest() == digest
 
 
