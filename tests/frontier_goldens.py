@@ -1,0 +1,69 @@
+"""Golden check of `invert` at the frontier orders, outside tier-1.
+
+Usage, from the root of a checkout:
+
+    python3 tests/frontier_goldens.py
+
+Each case writes a dense document (``helpers.dense_golden_doc``: every key
+of size 1..N for every pinned color, values cycling through 1, -1/2, 1/2,
+-1), runs ``lagrange_forest.cli.main`` on it in-process, and compares the
+sha256 of its standard output with the recorded digest. One line per case
+gives the verdict and the wall seconds of the run. The exit code is 0 when
+every digest matches and 1 otherwise. The outputs run to tens of kilobytes,
+so only their digests are kept; a mismatch is located with the pinned
+tier-1 tests or by diffing the output against an earlier checkout.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from helpers import dense_golden_doc  # noqa: E402  (tests/ is the script's own directory)
+
+from lagrange_forest import cli  # noqa: E402
+
+#: (colors, order, extra argv, sha256 of stdout)
+CASES = (
+    ("ab", 14, (), "a646f8de4ee5650614354c605699841e70a32275d16349da35575eeecfe6df36"),
+    ("abc", 10, (), "bd922c9a541a73b06369a883fc7b94e2a47d9e643b976d4dfae82c33bc21780e"),
+    ("abc", 10, ("--det",), "f1ece0b98b9bb0d0282fce4990207b7cb198dd160c7e14c7dddf9893f0a149ca"),
+    ("abcd", 8, ("--det",), "b514ae0f27f1faafd0d62fca751719d1690a8c6cbc9822faaa03f37b5ae5864d"),
+)
+
+
+def run_case(directory: Path, colors: str, order: int, extra: tuple[str, ...]) -> tuple[int, str, float]:
+    """Exit code, stdout sha256 and wall seconds of one `invert` run."""
+    path = directory / f"dense-{colors}-{order}.json"
+    path.write_text(cli.dump_document(dense_golden_doc(colors, order)))
+    out = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["invert", str(path), *extra])
+    seconds = time.perf_counter() - start
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest(), seconds
+
+
+def main() -> int:
+    failures = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for colors, order, extra, digest in CASES:
+            code, got, seconds = run_case(Path(tmp), colors, order, extra)
+            ok = code == 0 and got == digest
+            failures += not ok
+            label = " ".join(("invert", *extra, f"d={len(colors)}", f"N={order}"))
+            detail = "" if ok else f" (exit {code}, sha256 {got})"
+            print(f"{'PASS' if ok else 'FAIL'} {label}: {seconds:.2f} s{detail}", flush=True)
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

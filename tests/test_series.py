@@ -539,10 +539,12 @@ def test_leibniz_property(triple):
 ORACLE_GRID = [(1, 8), (2, 6), (3, 5)]
 
 
-def random_dense_series(d: int, order: int, seed: str, constant: bool = True):
+def random_dense_series(
+    d: int, order: int, seed: str, constant: bool = True, pool: tuple = POOL
+):
     rng = random.Random(seed)
     colors = ColorSet(tuple("abc"[:d]))
-    table = {key: rng.choice(POOL) for key in all_keys(colors, order) if key or constant}
+    table = {key: rng.choice(pool) for key in all_keys(colors, order) if key or constant}
     return series_from(colors, order, table)
 
 
@@ -586,18 +588,51 @@ def test_reciprocal_times_series_is_one(d, order, sparse):
     assert multiply(p, _reciprocal(p)) == constant_series(p.colors, order, 1)
 
 
-@pytest.mark.parametrize("d,order", ORACLE_GRID)
-def test_compose_family_matches_assignment_oracle(d, order):
-    g = random_dense_series(d, order, f"cf-g:{d}")
+def assert_compose_family_matches_oracle(d: int, order: int, pool: tuple, seed: str):
+    g = random_dense_series(d, order, f"{seed}-g:{d}", pool=pool)
     colors = g.colors
     fam = FamilySeries(
         colors,
         order,
-        {q: random_dense_series(d, order, f"cf-{q}:{d}") for q in colors.names},
+        {q: random_dense_series(d, order, f"{seed}-{q}:{d}", pool=pool) for q in colors.names},
     )
     composed = compose_family(g, fam)
     for key in all_keys(colors, order):
         assert composed.coefficient(key) == compose_oracle(g, fam, key), key
+
+
+@pytest.mark.parametrize("d,order", ORACLE_GRID)
+def test_compose_family_matches_assignment_oracle(d, order):
+    assert_compose_family_matches_oracle(d, order, POOL, "cf")
+
+
+# PRODUCT_POOL gives the coefficients of g and the monomials of the family
+# denominators of their own, which composition brings to a common one
+
+
+@pytest.mark.parametrize("d,order", ORACLE_GRID)
+def test_compose_family_matches_assignment_oracle_on_mixed_denominators(d, order):
+    assert_compose_family_matches_oracle(d, order, PRODUCT_POOL, "cf-mixed")
+
+
+@pytest.mark.parametrize("d,order", [(1, 7), (2, 5), (3, 4)])
+def test_compose_measure_matches_definition_oracle_on_mixed_denominators(d, order):
+    density, fam = (
+        FamilySeries(
+            ColorSet(tuple("abc"[:d])),
+            order,
+            {q: random_dense_series(d, order, f"cm-mixed-{role}{q}:{d}", pool=PRODUCT_POOL)
+             for q in "abc"[:d]},
+        )
+        for role in "gf"
+    )
+    # the atoms of the composed measure, against the definition on gamma's atoms
+    composed, gamma = radon_lift(compose_measure(density, fam)), radon_lift(density)
+    for q in density.colors:
+        for key in all_keys(density.colors, order):
+            assert composed.members[q].coefficient(key) == compose_oracle(
+                gamma.members[q], fam, key
+            ), (q, key)
 
 
 # ---------------------------------------------------------------------------
