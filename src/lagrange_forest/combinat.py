@@ -31,11 +31,23 @@ MAX_ENUMERATION = 6
 Coloring = Mapping[int, str]
 
 
-def _check_cap(size: int) -> None:
+def _check_cap(size: int, at_least: bool = False) -> None:
     if size > MAX_ENUMERATION:
+        count = f"at least {size}" if at_least else str(size)
         raise SizeCapExceeded(
-            f"enumeration over {size} vertices exceeds the cap of {MAX_ENUMERATION}"
+            f"enumeration over {count} vertices exceeds the cap of {MAX_ENUMERATION}"
         )
+
+
+def _vertices(items: Iterable[int], taken: int = 0) -> tuple[int, ...]:
+    # The distinct items, sorted. Reading stops with a refusal as soon as
+    # they and ``taken`` other vertices pass the cap, so a large input is
+    # never held.
+    seen: set[int] = set()
+    for item in items:
+        seen.add(item)
+        _check_cap(taken + len(seen), at_least=True)
+    return tuple(sorted(seen))
 
 
 # ---------------------------------------------------------------------------
@@ -150,13 +162,12 @@ def enumerate_enriched_maps(domain: Iterable[int], sinks: Iterable[int] = ()) ->
     :class:`SizeCapExceeded` when ``len(domain) + len(sinks)`` is above
     ``MAX_ENUMERATION``.
     """
-    dom = tuple(sorted(set(domain)))
+    dom = _vertices(domain)
     if not dom:
         return []
-    snk = tuple(sorted(set(sinks)))
+    snk = _vertices(sinks, len(dom))
     if set(dom) & set(snk):
         raise ValueError("domain and sinks must be disjoint")
-    _check_cap(len(dom) + len(snk))
     return list(_iter_maps(dom, snk))
 
 
@@ -220,12 +231,11 @@ def _rooted_trees(domain: tuple[int, ...], sink: int) -> tuple[EnrichedMap, ...]
 
 def enumerate_rooted_trees(domain: Iterable[int], sink: int = 0) -> list[EnrichedMap]:
     """All enriched maps on ``domain`` plus one sink that are vertex-rooted trees."""
-    dom = tuple(sorted(set(domain)))
+    dom = _vertices(domain, 1)
     if sink in dom:
         raise ValueError("sink must not belong to the domain")
     if not dom:
         return []
-    _check_cap(len(dom) + 1)
     return [m for m in _iter_maps(dom, (sink,)) if is_vertex_rooted_tree(m)]
 
 
@@ -298,10 +308,9 @@ def enumerate_crowns(domain: Iterable[int]) -> list[EnrichedMap]:
     base vertex's fiber forms one block. Distinct successor functions count
     separately, so a base of size m contributes (m-1)! cyclic arrangements.
     """
-    dom = tuple(sorted(set(domain)))
+    dom = _vertices(domain)
     if not dom:
         raise ValueError("crowns need a non-empty vertex set")
-    _check_cap(len(dom))
     return list(_iter_crowns(dom))
 
 

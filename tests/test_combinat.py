@@ -1,6 +1,7 @@
 """Enumeration of partitions, enriched maps, trees, and crowns, with weights."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
@@ -114,6 +115,27 @@ def test_enriched_maps_guards():
     assert enumerate_crowns(range(1, MAX_ENUMERATION + 1))
     with pytest.raises(SizeCapExceeded):
         enumerate_crowns(range(1, MAX_ENUMERATION + 2))
+
+
+@pytest.mark.parametrize(
+    "enumerate_",
+    [
+        lambda: enumerate_enriched_maps((1, 2), range(0, -200_000, -1)),
+        lambda: enumerate_rooted_trees(range(1, 200_001)),
+        lambda: enumerate_crowns(range(1, 200_001)),
+    ],
+    ids=["maps", "trees", "crowns"],
+)
+def test_enumerations_refuse_before_reading_the_whole_input(enumerate_):
+    # a set or sorted tuple of the whole input would allocate megabytes first
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapExceeded, match="exceeds the cap of 6"):
+            enumerate_()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_enumeration_is_deterministic():
