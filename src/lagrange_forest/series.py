@@ -199,9 +199,10 @@ def _factorial_weight(key: Key) -> int:
     return weight
 
 
-def _monomial_rows(
-    table: dict[Key, Fraction], max_size: int
-) -> tuple[list[tuple[Key, int]], int]:
+Rows = tuple[list[tuple[Key, int]], int]
+
+
+def _monomial_rows(table: dict[Key, Fraction], max_size: int) -> Rows:
     # Integer rows (key, m) and one denominator D with m / (D * max_size!) the
     # monomial coefficient value / prod_c n_c!; rows are sorted by key size.
     rows = sorted(
@@ -217,14 +218,10 @@ def _monomial_rows(
     return scaled, den
 
 
-def _convolve(
-    a: tuple[list[tuple[Key, int]], int],
-    b: tuple[list[tuple[Key, int]], int],
-    max_size: int,
-) -> dict[Key, Fraction]:
-    # Convolution of monomial rows in integers: only the pairs whose sizes
-    # fit max_size are visited, and each sum is turned back into a
-    # symmetric-function value once.
+def _convolve(a: Rows, b: Rows, max_size: int) -> Rows:
+    # Convolution of monomial rows in integers, in the rows' own convention:
+    # only the pairs whose sizes fit max_size are visited, and the result's
+    # rows are sorted by key size with zero sums dropped.
     rows_a, den_a = a
     rows_b, den_b = b
     sums: dict[Key, int] = {}
@@ -235,12 +232,16 @@ def _convolve(
                 break
             merged = tuple(sorted(key_a + key_b))
             sums[merged] = sums.get(merged, 0) + na * nb
-    den = den_a * den_b * factorial(max_size) ** 2
-    return {
-        key: Fraction(num * _factorial_weight(key), den)
-        for key, num in sums.items()
-        if num
-    }
+    rows = sorted((item for item in sums.items() if item[1]), key=lambda item: len(item[0]))
+    return rows, den_a * den_b * factorial(max_size)
+
+
+def _values(
+    entries: Iterable[tuple[Key, int]], den: int, max_size: int
+) -> dict[Key, Fraction]:
+    # The symmetric-function values of monomial rows, one rational per non-zero row.
+    den *= factorial(max_size)
+    return {key: Fraction(m * _factorial_weight(key), den) for key, m in entries if m}
 
 
 def multiply(k: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
@@ -256,7 +257,7 @@ def multiply(k: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     """
     _check_pair(k, g)
     rows = (_monomial_rows(k.table, k.order), _monomial_rows(g.table, k.order))
-    return TruncatedSeries(k.colors, k.order, _convolve(*rows, k.order))
+    return TruncatedSeries(k.colors, k.order, _values(*_convolve(*rows, k.order), k.order))
 
 
 def _splits(key: Key) -> Iterator[tuple[Key, Key, int]]:
@@ -452,44 +453,46 @@ def _check_family(g: TruncatedSeries | FamilySeries, family: FamilySeries) -> No
 class _Monomials(dict):
     """Products prod_q W_q^(J_q) / J_q! by key J, for W the radon lift of a family.
 
-    Each entry is built on first lookup, by one product along the key's
-    prefixes, and truncated at ``max_size``; the atoms' integer rows are
-    derived once per table. A table can be shared by every composition with
-    the same family and truncation.
+    Each entry is kept as integer monomial rows truncated at ``max_size``
+    and built on first lookup, by one integer convolution of its prefix's
+    rows with the rows of the atom at its last color; the share 1 / J_q of
+    that color's power goes into the denominator. A table can be shared by
+    every composition with the same family and truncation.
     """
 
     def __init__(self, family: FamilySeries, max_size: int) -> None:
-        super().__init__({(): {(): Fraction(1)}})
+        super().__init__({(): ([((), factorial(max_size))], 1)})
         self.max_size = max_size
         self.atom_rows = {
             q: _monomial_rows(atom.table, max_size)
             for q, atom in radon_lift(family).members.items()
         }
 
-    def __missing__(self, key: Key) -> dict[Key, Fraction]:
+    def __missing__(self, key: Key) -> Rows:
         color = key[-1]
-        share = Fraction(1, key.count(color))
-        prefix_rows = _monomial_rows(self[key[:-1]], self.max_size)
-        table = {
-            merged: value * share
-            for merged, value in _convolve(
-                prefix_rows, self.atom_rows[color], self.max_size
-            ).items()
-        }
-        self[key] = table
-        return table
+        rows, den = _convolve(self[key[:-1]], self.atom_rows[color], self.max_size)
+        self[key] = entry = (rows, den * key.count(color))
+        return entry
 
 
 def _compose_table(g: TruncatedSeries, monomials: _Monomials) -> dict[Key, Fraction]:
-    # sum_J g_J prod_q W_q^(J_q) / J_q!, up to size monomials.max_size
-    out: dict[Key, Fraction] = {}
-    if g.f0:
-        out[()] = g.f0
-    for key, gv in g.table.items():
-        if key and len(key) <= monomials.max_size:
-            for merged, value in monomials[key].items():
-                out[merged] = out.get(merged, Fraction(0)) + gv * value
-    return {key: v for key, v in out.items() if v}
+    # sum_J g_J prod_q W_q^(J_q) / J_q!, up to size monomials.max_size: each
+    # g_J / den_J is scaled to one common denominator, the integer rows are
+    # summed, and each output key becomes a rational once
+    terms = [
+        (gv, monomials[key])
+        for key, gv in g.table.items()
+        if key and len(key) <= monomials.max_size
+    ]
+    den = lcm(*(gv.denominator * den_j for gv, (_, den_j) in terms))
+    sums: dict[Key, int] = {}
+    for gv, (rows, den_j) in terms:
+        factor = gv.numerator * (den // (gv.denominator * den_j))
+        for merged, m in rows:
+            sums[merged] = sums.get(merged, 0) + factor * m
+    out = {(): g.f0} if g.f0 else {}
+    out.update(_values(sums.items(), den, monomials.max_size))
+    return out
 
 
 def compose_family(g: TruncatedSeries, family: FamilySeries) -> TruncatedSeries:
