@@ -19,8 +19,9 @@ monomial coefficients f[key] / prod_c n_c! in integers, over the pairs of
 keys whose sizes fit the order; the exponential and the reciprocal recur
 over the sub-multisets S of a key, E[key] = sum_S weight(S) K[S] E[key - S];
 and composition with a measure sums g_J prod_q W_q^(J_q) / J_q! over g's
-keys J, W being the atoms of the substituted measure. No kernel enumerates
-set partitions.
+keys J, W being the atoms of the substituted measure, with the monomials
+kept as integer rows and one rational built per output key. No kernel
+enumerates set partitions.
 """
 
 from __future__ import annotations
@@ -199,10 +200,10 @@ def _factorial_weight(key: Key) -> int:
     return weight
 
 
-Rows = tuple[list[tuple[Key, int]], int]
+_Rows = tuple[list[tuple[Key, int]], int]
 
 
-def _monomial_rows(table: dict[Key, Fraction], max_size: int) -> Rows:
+def _monomial_rows(table: dict[Key, Fraction], max_size: int) -> _Rows:
     # Integer rows (key, m) and one denominator D with m / (D * max_size!) the
     # monomial coefficient value / prod_c n_c!; rows are sorted by key size.
     rows = sorted(
@@ -218,7 +219,7 @@ def _monomial_rows(table: dict[Key, Fraction], max_size: int) -> Rows:
     return scaled, den
 
 
-def _convolve(a: Rows, b: Rows, max_size: int) -> Rows:
+def _convolve(a: _Rows, b: _Rows, max_size: int) -> _Rows:
     # Convolution of monomial rows in integers, in the rows' own convention:
     # only the pairs whose sizes fit max_size are visited, and the result's
     # rows are sorted by key size with zero sums dropped.
@@ -468,7 +469,7 @@ class _Monomials(dict):
             for q, atom in radon_lift(family).members.items()
         }
 
-    def __missing__(self, key: Key) -> Rows:
+    def __missing__(self, key: Key) -> _Rows:
         color = key[-1]
         rows, den = _convolve(self[key[:-1]], self.atom_rows[color], self.max_size)
         self[key] = entry = (rows, den * key.count(color))
