@@ -37,6 +37,8 @@ CASES = (
     ("abc", 10, (), "bd922c9a541a73b06369a883fc7b94e2a47d9e643b976d4dfae82c33bc21780e"),
     ("abc", 10, ("--det",), "f1ece0b98b9bb0d0282fce4990207b7cb198dd160c7e14c7dddf9893f0a149ca"),
     ("abcd", 8, ("--det",), "b514ae0f27f1faafd0d62fca751719d1690a8c6cbc9822faaa03f37b5ae5864d"),
+    ("abc", 12, ("--det",), "180b490c9db433911d5a23ea41b3e94715f063680fb210f624881a50553c2c38"),
+    ("abcd", 10, ("--det",), "49392d817829b045f5842a29695f10d420622ba459650e7a04e6483d746ff30a"),
 )
 
 

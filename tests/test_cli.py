@@ -306,10 +306,12 @@ def test_invert_mismatch_exits_1(tmp_path, monkeypatch):
     assert any(not row["equal"] for row in result["coefficients"])
 
 
-# `invert --det` stdout of three documents: the two-color ones were recorded
+# `invert --det` stdout of four documents: the two-color ones were recorded
 # before the kernel family became a family of series, the three-color one
-# before the per-key exponential was built on the key's down-set. A change of
-# the series representation or of the query must leave every byte alone
+# before the per-key exponential was built on the key's down-set, and the
+# four-color one, where the series and the query tables both have four axes,
+# before the splits came from one shared builder. A change of the series
+# representation or of the query must leave every byte alone
 def sparse_golden_doc():
     # the two-entry family a <- b, b <- ab
     return {
@@ -343,8 +345,14 @@ def sparse_golden_doc():
             55,
             {("a", "a", "a"): "6", ("a", "b", "b", "c", "c"): "177/16", ("c",) * 5: "4455/4"},
         ),
+        (
+            dense_golden_doc("abcd", 5),
+            "29aa11fdab9334b0da08cf7705bceb7d5d956392270eb493a55665a37590b529",
+            125,
+            {("a", "b", "c", "d"): "-9/4", ("a", "b", "b", "c", "d"): "-65/16", ("d",) * 5: "5545/16"},
+        ),
     ],
-    ids=["dense-d2-N5", "sparse-two-entry-N6", "dense-d3-N5"],
+    ids=["dense-d2-N5", "sparse-two-entry-N6", "dense-d3-N5", "dense-d4-N5"],
 )
 def test_invert_det_stdout_is_pinned(tmp_path, capsys, doc, digest, rows, tree_values):
     assert main(["invert", write_doc(tmp_path, doc), "--det"]) == 0
