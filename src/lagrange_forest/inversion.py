@@ -6,9 +6,9 @@ lifts it to the inverse measure series. The determinant route expresses
 coefficients of any composed observable through a truncated Fredholm
 determinant det(Id - L), the signed sum over the crowns that are the cycles
 of L. One routine computes it, and its reduction to a finite matrix over a
-color subset, by elimination over the series ring; each query runs its own
-exponential, in integers on its key's sub-multisets. The cancellation
-between the two routes can be checked exactly.
+color subset, by elimination over the series ring; each query runs the
+series' exponential loop, in integers on its key's sub-multisets. The
+cancellation between the two routes can be checked exactly.
 
 Every function takes the kernel family itself, a
 :class:`~lagrange_forest.series.FamilySeries` whose member at q is the
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import product
-from math import comb, factorial, lcm, prod
+from math import factorial, lcm
 from typing import Iterable, Sequence
 
 from .errors import ColorSetMismatch, EmptySubset, KeyTooLarge, OrderMismatch
@@ -37,6 +37,8 @@ from .series import (
     _atom,
     _compose_table,
     _reciprocal,
+    _recur,
+    _split_table,
     add,
     all_keys,
     canonical_key,
@@ -163,28 +165,14 @@ def finite_matrix_determinant(
 
 @lru_cache(maxsize=256)
 def _box(counts: tuple[int, ...]) -> tuple[list[tuple[int, ...]], list[list], list[list]]:
-    """The sub-multisets of a key with these color counts, as a mixed-radix box.
+    """The sub-multisets of a key with these color counts, and their splits.
 
-    Points are count vectors s <= counts, the last color fastest, so a point's
-    sub-multisets come first. Each lists its splits (S, s - S) as index pairs
-    weighted prod_c C(s_c, S_c) and, for the exponential, those where S holds
-    its first position, with C(s_c0 - 1, S_c0 - 1) for its first color c0.
-    Callers pass the counts largest first, so keys of one shape share a box.
+    Points are count vectors s <= counts, the last color fastest (a mixed-radix
+    box), so a point's sub-multisets come first. Callers pass the counts
+    largest first, so keys of one shape share a box.
     """
     points = list(product(*(range(n + 1) for n in counts)))
-    index = {s: t for t, s in enumerate(points)}
-    splits, first_splits = [], []
-    for s in points:
-        splits.append([
-            (index[part], index[tuple(m - p for m, p in zip(s, part))], prod(map(comb, s, part)))
-            for part in product(*(range(m + 1) for m in s))
-        ])
-        c0 = next((c for c, m in enumerate(s) if m), 0)
-        # C(s_c0 - 1, S_c0 - 1) = C(s_c0, S_c0) S_c0 / s_c0
-        first_splits.append(
-            [(a, b, w * points[a][c0] // s[c0]) for a, b, w in splits[-1] if points[a][c0]]
-        )
-    return points, splits, first_splits
+    return (points, *_split_table(points))
 
 
 @lru_cache(maxsize=4)
@@ -217,10 +205,7 @@ def _box_exponential(kernels: FamilySeries, key: Key) -> tuple[list[Key], list[i
     keys = [canonical_key(c for c, m in zip(colors, s) for _ in range(m)) for s in points]
     den, scaled, _, _ = _query_tables(kernels)
     summed = [sum(n * scaled[c].get(s, 0) for c, n in zip(colors, counts)) for s in keys]
-    exp = [1]
-    for pairs in first_splits[1:]:
-        exp.append(sum(w * summed[a] * exp[b] for a, b, w in pairs))
-    return keys, exp, den
+    return keys, _recur(summed, first_splits), den
 
 
 def _query(kernels: FamilySeries, key: Key, phi: TruncatedSeries) -> Fraction:

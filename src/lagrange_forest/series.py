@@ -16,20 +16,22 @@ on the densities and lift only where atoms are read.
 
 Every kernel is polynomial in the number of keys: a product convolves the
 monomial coefficients f[key] / prod_c n_c! in integers, over the pairs of
-keys whose sizes fit the order; the exponential and the reciprocal recur
-over the sub-multisets S of a key, E[key] = sum_S weight(S) K[S] E[key - S];
-and composition with a measure sums g_J prod_q W_q^(J_q) / J_q! over g's
-keys J, W being the atoms of the substituted measure, with the monomials
-kept as integer rows and one rational built per output key. No kernel
-enumerates set partitions.
+keys whose sizes fit the order; the exponential and the reciprocal run one
+loop, E[key] = sum_S w(S) K[S] E[key - S] over the sub-multisets S of a
+key, on split tables built once per shape, as the determinant route's
+queries do; and composition with a measure sums g_J prod_q W_q^(J_q) / J_q!
+over g's keys J, W being the atoms of the substituted measure, with the
+monomials kept as integer rows and one rational built per output key. No
+kernel enumerates set partitions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement, groupby, product
-from math import comb, factorial, lcm
+from math import comb, factorial, lcm, prod
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import (
@@ -128,9 +130,6 @@ class TruncatedSeries:
             )
         self.colors.require(q_tuple)
         return self.table.get(canonical_key(q_tuple), Fraction(0))
-
-    def support_colors(self) -> tuple[str, ...]:
-        return tuple(sorted({c for key in self.table for c in key}))
 
 
 def make_series(
@@ -261,19 +260,62 @@ def multiply(k: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(k.colors, k.order, _values(*_convolve(*rows, k.order), k.order))
 
 
-def _splits(key: Key) -> Iterator[tuple[Key, Key, int]]:
-    # Every sub-multiset S of a canonical key, with its complement and the
-    # number prod_c C(n_c, s_c) of position subsets realizing S.
-    runs = [(color, len(tuple(run))) for color, run in groupby(key)]
-    for sizes in product(*(range(m + 1) for _, m in runs)):
-        part: Key = ()
-        rest: Key = ()
-        weight = 1
-        for (color, m), s in zip(runs, sizes):
-            part += (color,) * s
-            rest += (color,) * (m - s)
-            weight *= comb(m, s)
-        yield part, rest, weight
+def _split_table(points: Sequence[tuple[int, ...]]) -> tuple[list[list], list[list]]:
+    """The splits of every point of a down-closed list of count vectors.
+
+    The points come sub-multisets first, the empty one first. Point s has
+    splits (a, b, w) for points[a] = S, points[b] = s - S, w = prod_c C(s_c,
+    S_c), the position subsets of a key counted by s that S counts; and
+    first-block splits, those where S holds the first position, weighted
+    C(s_c0 - 1, S_c0 - 1) prod_{c != c0} C(s_c, S_c), c0 the first color.
+    """
+    index = {s: t for t, s in enumerate(points)}
+    splits, first_splits = [], []
+    for s in points:
+        splits.append([
+            (index[part], index[tuple(m - p for m, p in zip(s, part))], prod(map(comb, s, part)))
+            for part in product(*(range(m + 1) for m in s))
+        ])
+        c0 = next((c for c, m in enumerate(s) if m), None)
+        # C(s_c0 - 1, S_c0 - 1) = C(s_c0, S_c0) S_c0 / s_c0
+        first_splits.append([
+            (a, b, w * points[a][c0] // s[c0])
+            for a, b, w in splits[-1] if c0 is not None and points[a][c0]
+        ])
+    return splits, first_splits
+
+
+@lru_cache(maxsize=8)
+def _simplex(d: int, max_size: int) -> tuple[list[tuple[int, ...]], list[list], list[list]]:
+    # the count vectors of size <= max_size over d colors, in all_keys order,
+    # and their split tables
+    points = [
+        tuple(map(combo.count, range(d)))
+        for n in range(max_size + 1)
+        for combo in combinations_with_replacement(range(d), n)
+    ]
+    return (points, *_split_table(points))
+
+
+def _recur(values: Sequence, splits: list[list], sign: int = 1) -> list:
+    # out[0] = 1, out[t] = sign * sum w values[a] out[b] over point t's
+    # splits; values[0] must vanish, so the empty part's split (b = t) is
+    # never read
+    out = [1]
+    for pairs in splits[1:]:
+        out.append(sign * sum(w * values[a] * out[b] for a, b, w in pairs if values[a]))
+    return out
+
+
+def _on_simplex(k: TruncatedSeries, first_block: bool, sign: int) -> TruncatedSeries:
+    # _recur over the keys of size <= order on k's support, k's constant term read as zero
+    support = sorted({c for key in k.table for c in key})
+    points, splits, first_splits = _simplex(len(support), k.order)
+    keys = [tuple(c for c, m in zip(support, s) for _ in range(m)) for s in points]
+    values = [0] + [k.table.get(key, 0) for key in keys[1:]]
+    out = _recur(values, first_splits if first_block else splits, sign)
+    out[0] = Fraction(1)
+    return TruncatedSeries(k.colors, k.order, {key: v for key, v in zip(keys, out) if v})
 
 
 def exponential(k: TruncatedSeries) -> TruncatedSeries:
@@ -281,47 +323,18 @@ def exponential(k: TruncatedSeries) -> TruncatedSeries:
 
     The coefficient at a tuple is the sum over set partitions of its
     positions of the product of K over the blocks; the constant term is one.
-    It is computed by splitting off the block S that holds the key's first
-    position: E[key] = sum_S C(n_c0 - 1, s_c0 - 1) prod_{c != c0} C(n_c, s_c)
-    K[S] E[key - S], over the sub-multisets S of the key containing its first
-    color c0, where n and s count the colors of the key and of S.
+    Splitting off the block S that holds the first position gives E[key] =
+    sum w K[S] E[key - S] over the key's first-block splits (_split_table).
     """
     if k.f0:
         raise NonzeroConstantTerm("exponential needs a vanishing constant term")
-    support = k.support_colors()
-    out: dict[Key, Fraction] = {(): Fraction(1)}
-    for n in range(1, k.order + 1):
-        for key in combinations_with_replacement(support, n):
-            total = Fraction(0)
-            # the blocks holding the first position are that position plus
-            # any sub-multiset of the other positions
-            for part, rest, weight in _splits(key[1:]):
-                value = k.table.get(key[:1] + part)
-                if value is not None and rest in out:
-                    total += weight * value * out[rest]
-            if total:
-                out[key] = total
-    return TruncatedSeries(k.colors, k.order, out)
+    return _on_simplex(k, first_block=True, sign=1)
 
 
 def _reciprocal(p: TruncatedSeries) -> TruncatedSeries:
-    """Reciprocal of a series with constant term one (the split recurrence).
-
-    R[key] = -sum_S prod_c C(n_c, s_c) p[S] R[key - S] over the non-empty
-    sub-multisets S of a key, n and s counting the colors of the key and of S.
-    """
-    support = p.support_colors()
-    out: dict[Key, Fraction] = {(): Fraction(1)}
-    for n in range(1, p.order + 1):
-        for key in combinations_with_replacement(support, n):
-            total = Fraction(0)
-            for part, rest, weight in _splits(key):
-                value = p.table.get(part)
-                if part and value is not None and rest in out:
-                    total += weight * value * out[rest]
-            if total:
-                out[key] = -total
-    return TruncatedSeries(p.colors, p.order, out)
+    """Reciprocal of a series with constant term one: R = 1 - (p - 1) R, so
+    R[key] = -sum w p[S] R[key - S] over the key's splits with S non-empty."""
+    return _on_simplex(p, first_block=False, sign=-1)
 
 
 def variational_derivative(k: TruncatedSeries, pins: Sequence[str]) -> TruncatedSeries:

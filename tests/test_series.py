@@ -1,7 +1,9 @@
 """Core series algebra: constructors, operations, and algebraic laws."""
 
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -30,10 +32,12 @@ from lagrange_forest import (
     solve_tree_fixed_point,
 )
 from lagrange_forest.harness import SuiteConfig, random_series
+from lagrange_forest.inversion import _box
 from lagrange_forest.series import (
     FamilySeries,
     TruncatedSeries,
     _reciprocal,
+    _simplex,
     add,
     all_keys,
     compose_family,
@@ -586,6 +590,48 @@ def test_reciprocal_times_series_is_one(d, order, sparse):
         p = series_from(p.colors, order, dict(list(p.table.items())[::4]))
     p = add(constant_series(p.colors, order, 1), p)
     assert multiply(p, _reciprocal(p)) == constant_series(p.colors, order, 1)
+
+
+def position_splits(s: tuple[int, ...]) -> tuple[Counter, Counter]:
+    """By direct enumeration: for each count vector S, the number of position
+    subsets of a key counted by s whose colors S counts, over all subsets
+    and over those holding position 0."""
+    positions = [c for c, m in enumerate(s) for _ in range(m)]
+    every, first = Counter(), Counter()
+    for size in range(len(positions) + 1):
+        for subset in combinations(range(len(positions)), size):
+            part = tuple(sum(positions[i] == c for i in subset) for c in range(len(s)))
+            every[part] += 1
+            first[part] += 0 in subset
+    return every, +first
+
+
+@pytest.mark.parametrize(
+    "points, splits, first_splits",
+    [_simplex(d, order) for d, order in [(1, 6), (2, 5), (3, 4), (4, 3)]]
+    + [_box(counts) for counts in [(3,), (2, 1), (2, 2, 1), (1, 1, 1, 1)]],
+    ids=["simplex-1-6", "simplex-2-5", "simplex-3-4", "simplex-4-3",
+         "box-3", "box-2-1", "box-2-2-1", "box-1-1-1-1"],
+)
+def test_split_tables_match_position_subsets(points, splits, first_splits):
+    assert len(set(points)) == len(points) == len(splits) == len(first_splits)
+    for t, s in enumerate(points):
+        every, first = position_splits(s)
+        for table, expected in [(splits[t], every), (first_splits[t], first)]:
+            assert len({a for a, _, _ in table}) == len(table)
+            found = Counter()
+            for a, b, w in table:
+                # sub-multisets come first, and each split adds up to s
+                assert a <= t and b <= t
+                assert tuple(map(sum, zip(points[a], points[b]))) == s
+                found[points[a]] += w
+            assert found == expected, s
+
+
+def test_simplex_points_follow_all_keys():
+    colors = ColorSet(("a", "b", "c"))
+    points = _simplex(3, 4)[0]
+    assert points == [tuple(map(key.count, "abc")) for key in all_keys(colors, 4)]
 
 
 def assert_compose_family_matches_oracle(d: int, order: int, pool: tuple, seed: str):
