@@ -264,10 +264,10 @@ def _split_table(points: Sequence[tuple[int, ...]]) -> tuple[list[list], list[li
     """The splits of every point of a down-closed list of count vectors.
 
     The points come sub-multisets first, the empty one first. Point s has
-    splits (a, b, w) for points[a] = S, points[b] = s - S, w = prod_c C(s_c,
-    S_c), the position subsets of a key counted by s that S counts; and
-    first-block splits, those where S holds the first position, weighted
-    C(s_c0 - 1, S_c0 - 1) prod_{c != c0} C(s_c, S_c), c0 the first color.
+    splits (a, b, w) for points[a] = S, points[b] = s - S and w = prod_c
+    C(s_c, S_c), the number of position subsets of a key counted by s whose
+    colors S counts; its first-block splits count only the subsets holding
+    the first position: C(s_c0 - 1, S_c0 - 1) prod_{c != c0} C(s_c, S_c).
     """
     index = {s: t for t, s in enumerate(points)}
     splits, first_splits = [], []
@@ -308,7 +308,7 @@ def _recur(values: Sequence, splits: list[list], sign: int = 1) -> list:
 
 
 def _on_simplex(k: TruncatedSeries, first_block: bool, sign: int) -> TruncatedSeries:
-    # _recur over the keys of size <= order on k's support, k's constant term read as zero
+    # _recur over the keys of size <= order on k's support, k[()] read as zero
     support = sorted({c for key in k.table for c in key})
     points, splits, first_splits = _simplex(len(support), k.order)
     keys = [tuple(c for c, m in zip(support, s) for _ in range(m)) for s in points]
