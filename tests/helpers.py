@@ -27,14 +27,18 @@ PRODUCT_POOL = (
     Fraction(5 * 2**64 + 1, 3),
 )
 
+# kernel values over denominators 1, 2, 3, 5 and 7, a zero and one value
+# above 2**64
+QUERY_POOL = tuple(map(Fraction, ("1", "-1/2", "2/3", "-3/5", "4/7", "0", str(5 * 2**64 + 1))))
+
 
 # the values dense_golden_doc cycles through
 GOLDEN_VALUES = ("1", "-1/2", "1/2", "-1")
 
 
-def dense_golden_doc(colors: str = "ab", order: int = 5) -> dict:
+def dense_golden_doc(colors: str = "ab", order: int = 5, values=GOLDEN_VALUES) -> dict:
     """An ``invert`` document with every key of size 1..order for every pinned
-    color, its values cycling through GOLDEN_VALUES."""
+    color, its values cycling through ``values``."""
     keys = [
         (q, key)
         for q in colors
@@ -43,7 +47,7 @@ def dense_golden_doc(colors: str = "ab", order: int = 5) -> dict:
     ]
     groups: dict[int, list] = {}
     for i, (q, key) in enumerate(keys):
-        entry = {"q": q, "x": list(key), "value": GOLDEN_VALUES[i % 4]}
+        entry = {"q": q, "x": list(key), "value": str(values[i % len(values)])}
         groups.setdefault(len(key), []).append(entry)
     kernels = [{"n": n, "entries": entries} for n, entries in sorted(groups.items())]
     return {"colors": list(colors), "order": order, "kernels": kernels}

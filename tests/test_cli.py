@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from lagrange_forest.cli import dump_document, main
 
-from helpers import dense_golden_doc
+from helpers import QUERY_POOL, dense_golden_doc
 
 
 def write_doc(tmp_path, payload, name="problem.json"):
@@ -97,6 +97,19 @@ def test_invert_respects_subset(tmp_path):
     values = {tuple(row["x"]): row["tree"] for row in result["coefficients"]}
     assert values[("b",)] == "1"
     assert values[("a",)] == "0"
+
+
+@pytest.mark.parametrize("flags", [[], ["--det"]], ids=["tree", "det"])
+@pytest.mark.parametrize("order", [1, 2])
+def test_invert_drops_kernel_entries_above_the_order(tmp_path, capsys, order, flags):
+    # entries of size above the document order cannot reach a coefficient up
+    # to the order: the output is the one of the document without them
+    doc = dict(dense_golden_doc("ab", 3), order=order)
+    assert main(["invert", write_doc(tmp_path, doc, "full.json"), *flags]) == 0
+    with_entries = capsys.readouterr().out
+    doc["kernels"] = [group for group in doc["kernels"] if group["n"] <= order]
+    assert main(["invert", write_doc(tmp_path, doc, "cut.json"), *flags]) == 0
+    assert with_entries == capsys.readouterr().out
 
 
 def test_invert_malformed_rational_exits_2(tmp_path, capsys):
@@ -306,12 +319,15 @@ def test_invert_mismatch_exits_1(tmp_path, monkeypatch):
     assert any(not row["equal"] for row in result["coefficients"])
 
 
-# `invert --det` stdout of four documents: the two-color ones were recorded
+# `invert --det` stdout of five documents: the two-color ones were recorded
 # before the kernel family became a family of series, the three-color one
-# before the per-key exponential was built on the key's down-set, and the
+# before the per-key exponential was built on the key's down-set, the
 # four-color one, where the series and the query tables both have four axes,
-# before the splits came from one shared builder. A change of the series
-# representation or of the query must leave every byte alone
+# before the splits came from one shared builder, and the QUERY_POOL one,
+# whose kernel denominators 1, 2, 3, 5 and 7 grade the determinant by a
+# common denominator that is none of them, before the determinant was
+# eliminated in integers. A change of the series representation, of the
+# determinant or of the query must leave every byte alone
 def sparse_golden_doc():
     # the two-entry family a <- b, b <- ab
     return {
@@ -351,8 +367,15 @@ def sparse_golden_doc():
             125,
             {("a", "b", "c", "d"): "-9/4", ("a", "b", "b", "c", "d"): "-65/16", ("d",) * 5: "5545/16"},
         ),
+        (
+            dense_golden_doc("abc", 4, QUERY_POOL),
+            "76f7d56fd7dc80fcd1503aedeac6e3583b1420a69b37ea01394a89cd16283cb5",
+            34,
+            {("a", "a", "a"): "36/5", ("b", "c"): "184467440737095516161/2",
+             ("c",) * 4: "13281655733070877163864/3"},
+        ),
     ],
-    ids=["dense-d2-N5", "sparse-two-entry-N6", "dense-d3-N5", "dense-d4-N5"],
+    ids=["dense-d2-N5", "sparse-two-entry-N6", "dense-d3-N5", "dense-d4-N5", "query-d3-N4"],
 )
 def test_invert_det_stdout_is_pinned(tmp_path, capsys, doc, digest, rows, tree_values):
     assert main(["invert", write_doc(tmp_path, doc), "--det"]) == 0

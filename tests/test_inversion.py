@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import factorial
 
 import pytest
@@ -44,6 +44,7 @@ from lagrange_forest.series import (
 )
 
 from helpers import (
+    QUERY_POOL,
     exponential_oracle,
     folded_product_coefficient,
     fredholm_oracle,
@@ -65,6 +66,20 @@ def zero_kernels(colors: ColorSet, order: int) -> FamilySeries:
 def random_kernels(seed: int, colors: int = 2, order: int = 4) -> FamilySeries:
     cfg = SuiteConfig(seed=seed, colors=colors, order=order, trials=1)
     return random_kernel_family(cfg)
+
+
+def _query_family(d: int, order: int, sparse: bool) -> FamilySeries:
+    # dense: a QUERY_POOL value at every key of size 1..order for every
+    # pinned color; sparse: every third entry
+    rng = random.Random(f"down-set:{d}:{order}")
+    colors = ColorSet(tuple("abcd"[:d]))
+    entries = [
+        (q, key, rng.choice(QUERY_POOL))
+        for q in colors.names
+        for key in all_keys(colors, order)
+        if key
+    ]
+    return make_kernel_family(colors, order, entries[::3] if sparse else entries)
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +213,13 @@ SPARSE_KERNELS = make_kernel_family(
         pytest.param(random_kernels(seed=2, colors=3, order=4), id="3-4"),
         pytest.param(random_kernels(seed=2, colors=4, order=4), id="4-4"),
         pytest.param(SPARSE_KERNELS, id="sparse-4-4"),
+        # QUERY_POOL values: kernel denominators 1, 2, 3, 5 and 7, whose
+        # lcm is none of them, and a value above 2**64
+        *(
+            pytest.param(_query_family(d, order, sparse), id=f"query-{d}-{order}" + "-sparse" * sparse)
+            for sparse in (False, True)
+            for d, order in [(1, 5), (2, 5), (3, 4)]
+        ),
     ],
 )
 def test_fredholm_matches_subset_expansion_oracle(kernels):
@@ -205,6 +227,18 @@ def test_fredholm_matches_subset_expansion_oracle(kernels):
     for key in all_keys(kernels.colors, kernels.order):
         if key:
             assert det.coefficient(key) == fredholm_oracle(kernels, key)
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+def test_finite_matrix_on_a_proper_subset_matches_the_full_determinant(sparse):
+    # the matrix indexed by a and c alone, over QUERY_POOL values; at keys
+    # inside {a, c} it reads the full determinant, whose oracle is the
+    # subset expansion
+    kernels = _query_family(3, 3, sparse)
+    small = finite_matrix_determinant(kernels, ("c", "a"))
+    for n in range(1, 4):
+        for key in combinations_with_replacement(("a", "c"), n):
+            assert small.coefficient(key) == fredholm_oracle(kernels, key), key
 
 
 def test_finite_matrix_trivial_cases():
@@ -217,8 +251,6 @@ def test_finite_matrix_trivial_cases():
 
 
 def test_finite_matrix_agrees_with_fredholm_and_is_stable_under_enlargement():
-    from itertools import combinations_with_replacement
-
     kernels = random_kernels(seed=17, colors=3, order=3)
     fred = fredholm_determinant(kernels)
     small = finite_matrix_determinant(kernels, ("a", "c"))
@@ -308,25 +340,9 @@ def test_magic_sum_random_instances():
                 assert magic_sum(kernels, key) == 0
 
 
-# kernel values over denominators 1, 2, 3, 5 and 7, a zero and one value
-# above 2**64; phi over denominators of its own
-QUERY_POOL = tuple(map(Fraction, ("1", "-1/2", "2/3", "-3/5", "4/7", "0", str(5 * 2**64 + 1))))
+# phi over denominators of its own
 PHI_POOL = tuple(map(Fraction, ("1/11", "-4/13", "6/17", "0", "-1")))
 QUERY_SHAPES = [(1, 7), (2, 6), (3, 5), (4, 4)]
-
-
-def _query_family(d: int, order: int, sparse: bool) -> FamilySeries:
-    # dense: a QUERY_POOL value at every key of size 1..order for every
-    # pinned color; sparse: every third entry
-    rng = random.Random(f"down-set:{d}:{order}")
-    colors = ColorSet(tuple("abcd"[:d]))
-    entries = [
-        (q, key, rng.choice(QUERY_POOL))
-        for q in colors.names
-        for key in all_keys(colors, order)
-        if key
-    ]
-    return make_kernel_family(colors, order, entries[::3] if sparse else entries)
 
 
 @pytest.mark.parametrize(
