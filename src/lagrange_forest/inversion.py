@@ -5,16 +5,17 @@ fixed-point equation whose solution generates weighted rooted trees, and
 lifts it to the inverse measure series. The determinant route expresses
 coefficients of any composed observable through a truncated Fredholm
 determinant det(Id - L), the signed sum over the crowns that are the cycles
-of L. One routine computes it, and its reduction to a finite matrix over a
-color subset, by elimination over the series ring; each query runs the
-series' exponential loop, in integers on its key's sub-multisets. The
-cancellation between the two routes can be checked exactly.
+of L. One elimination computes it, and its reduction to a finite matrix
+over a color subset, in integers graded by D^|s|, D the lcm of the kernels'
+denominators; each query runs the series' exponential loop in the same
+integers on its key's sub-multisets. The cancellation between the two
+routes can be checked exactly.
 
 Every function takes the kernel family itself, a
 :class:`~lagrange_forest.series.FamilySeries` whose member at q is the
 kernel pinned at q. What several queries or suites read again for one
-family (the Fredholm determinant, also in integers, and the tree solution)
-sits in bounded ``lru_cache``s keyed on the family's identity.
+family (its kernels and Fredholm determinant in integers, and the tree
+solution) sits in bounded ``lru_cache``s keyed on the family's identity.
 """
 
 from __future__ import annotations
@@ -36,10 +37,10 @@ from .series import (
     _Monomials,
     _atom,
     _compose_table,
-    _reciprocal,
+    _product,
     _recur,
+    _simplex,
     _split_table,
-    add,
     all_keys,
     canonical_key,
     compose_family,
@@ -49,7 +50,6 @@ from .series import (
     indicator_series,
     make_kernel_family,
     make_series,
-    multiply,
     radon_lift,
     scale,
     variational_derivative,
@@ -103,47 +103,54 @@ def solve_tree_fixed_point(kernels: FamilySeries) -> TreeSolution:
     return TreeSolution(tree_factors=current, inverse=radon_lift(current))
 
 
-def _determinant(kernels: FamilySeries, labels: Sequence[str]) -> TruncatedSeries:
-    """det(Id - L) for the matrix L indexed by ``labels``, by elimination.
+def _determinant(kernels: FamilySeries, labels: Sequence[str]) -> tuple[int, dict[Key, int]]:
+    """det(Id - L) for the matrix L indexed by ``labels``: D and det[s] D^|s|.
 
     Entry (q, q') of L is the atom at q of the kernel at q differentiated
-    at q', built for the labels only. Cycles of L are crowns, and the
-    determinant is their signed sum; the crown oracles check it in that
-    reading. Every entry of L has a vanishing constant term, so Gaussian
-    elimination on Id - L over the truncated-series ring needs no pivoting:
-    every pivot, Schur complements included, has constant term one. The
-    determinant is the product of the pivots, about d^3 / 3 products and
-    d - 1 reciprocals for d labels, whatever the order.
+    at q'; cycles of L are crowns, and the determinant is their signed sum.
+    At s an entry times D^|s|, D the lcm of the kernels' denominators, is an
+    integer; as D^|S| D^|s - S| = D^|s|, elimination runs on these integers,
+    about d^3 / 3 split-table products for d labels. Every pivot has constant
+    term one: no pivoting, and its inverse is the split recurrence with sign -1.
     """
-    colors, order = kernels.colors, kernels.order
-    size = len(labels)
-    matrix = []  # row q' holds column q' of Id - L: the transpose, same determinant
-    for j, qp in enumerate(labels):
-        pinned = {q: variational_derivative(kernels.members[q], (qp,)) for q in labels}
-        matrix.append([scale(_atom(q, pinned[q].table, colors, order), -1) for q in labels])
-        matrix[j][j] = add(constant_series(colors, order, 1), matrix[j][j])
-    for k in range(size):
-        rows = [i for i in range(k + 1, size) if matrix[i][k].table]
-        minus_inverse = scale(_reciprocal(matrix[k][k]), -1) if rows else None
-        for i in rows:
-            factor = multiply(matrix[i][k], minus_inverse)
-            for j in range(k + 1, size):
-                if matrix[k][j].table:
-                    matrix[i][j] = add(matrix[i][j], multiply(factor, matrix[k][j]))
-    return reduce(multiply, (matrix[k][k] for k in range(size)))
+    den = lcm(*(v.denominator for m in kernels.members.values() for v in m.table.values()))
+    support = sorted({c for q in labels for key in kernels.members[q].table for c in (q, *key)})
+    points, splits, _ = _simplex(len(support), kernels.order)
+    keys = [tuple(c for c, m in zip(support, s) for _ in range(m)) for s in points]
+    matrix = []  # row q' holds column q' of -L: the transpose, same determinant
+    for qp in labels:
+        pinned = {q: variational_derivative(kernels.members[q], (qp,)).table for q in labels}
+        atoms = [_atom(q, t, kernels.colors, kernels.order).table for q, t in pinned.items()]
+        matrix.append([[-int(a.get(s, 0) * den ** len(s)) for s in keys] for a in atoms])
+    for k, pivot_row in enumerate(matrix):
+        pivot_row[k][0] = 1  # Id - L: no update reaches a constant term
+        rows = [row for row in matrix[k + 1 :] if any(row[k])]
+        inverse = _recur([0, *pivot_row[k][1:]], splits, -1) if rows else None
+        columns = [j for j in range(k + 1, len(matrix)) if any(pivot_row[j])]
+        for row in rows:
+            factor = _product(row[k], inverse, splits)
+            for j in columns:
+                row[j] = [x - y for x, y in zip(row[j], _product(factor, pivot_row[j], splits))]
+    det = reduce(lambda p, q: _product(p, q, splits), (row[k] for k, row in enumerate(matrix)))
+    return den, {s: v for s, v in zip(keys, det) if v}
 
 
-@lru_cache(maxsize=4)
+def _graded_series(kernels: FamilySeries, den: int, det: dict[Key, int]) -> TruncatedSeries:
+    # the determinant at the API boundary: det[s] / D^|s| at s
+    table = {s: Fraction(v, den ** len(s)) for s, v in det.items()}
+    return TruncatedSeries(kernels.colors, kernels.order, table)
+
+
 def fredholm_determinant(kernels: FamilySeries) -> TruncatedSeries:
     """Truncated Fredholm determinant of the derivative-kernel operator.
 
     Over a finite color set this is det(Id - L) for the derivative-kernel
     matrix L indexed by all colors. Its coefficient at a key is the signed
     sum over assemblies of crowns on the key's positions, each assembly
-    signed by its number of crowns. The constant term is one. The result is
-    cached on the family's identity, so every query on one family shares it.
+    signed by its number of crowns. The constant term is one. It is built
+    from the family's integer tables (:func:`_query_tables`), its one cache.
     """
-    return _determinant(kernels, kernels.colors.names)
+    return _graded_series(kernels, *_query_tables(kernels)[:2])
 
 
 def finite_matrix_determinant(
@@ -154,13 +161,14 @@ def finite_matrix_determinant(
     Entry (q, q') is the Kronecker delta minus the atom series at q times
     the kernel at q differentiated at q'. Coefficients at tuples whose
     colors lie inside Q agree with the Fredholm determinant, and enlarging Q
-    leaves them unchanged; over all colors the two are the same series.
+    leaves them unchanged; over all colors the two are the same series. It
+    runs the Fredholm determinant's elimination, uncached.
     """
     labels = tuple(dict.fromkeys(subset))
     if not labels:
         raise EmptySubset("the pinned color set must be non-empty")
     kernels.colors.require(labels)
-    return _determinant(kernels, labels)
+    return _graded_series(kernels, *_determinant(kernels, labels))
 
 
 @lru_cache(maxsize=256)
@@ -176,20 +184,18 @@ def _box(counts: tuple[int, ...]) -> tuple[list[tuple[int, ...]], list[list], li
 
 
 @lru_cache(maxsize=4)
-def _query_tables(kernels: FamilySeries) -> tuple[int, dict, dict, int]:
-    """The kernels and the Fredholm determinant in integers, once per family.
+def _query_tables(kernels: FamilySeries) -> tuple[int, dict, dict]:
+    """D, the Fredholm determinant and the kernels in integers, once per family.
 
-    The kernel pinned at q holds A_q[s] D^|s| at s, D the lcm of the kernels'
-    denominators; the determinant holds its numerators over their lcm.
+    At s, the determinant holds det[s] D^|s| (:func:`_determinant`) and the
+    kernel pinned at q A_q[s] D^|s|, D the lcm of the kernels' denominators.
     """
-    den = lcm(*(v.denominator for m in kernels.members.values() for v in m.table.values()))
+    den, det = _determinant(kernels, kernels.colors.names)
     scaled = {
         q: {s: int(v * den ** len(s)) for s, v in m.table.items()}
         for q, m in kernels.members.items()
     }
-    det = fredholm_determinant(kernels).table
-    det_den = lcm(*(v.denominator for v in det.values()))
-    return den, scaled, {s: int(v * det_den) for s, v in det.items()}, det_den
+    return den, det, scaled
 
 
 def _box_exponential(kernels: FamilySeries, key: Key) -> tuple[list[Key], list[int], int]:
@@ -203,7 +209,7 @@ def _box_exponential(kernels: FamilySeries, key: Key) -> tuple[list[Key], list[i
     counts = tuple(map(key.count, colors))
     points, _, first_splits = _box(counts)
     keys = [canonical_key(c for c, m in zip(colors, s) for _ in range(m)) for s in points]
-    den, scaled, _, _ = _query_tables(kernels)
+    den, _, scaled = _query_tables(kernels)
     summed = [sum(n * scaled[c].get(s, 0) for c, n in zip(colors, counts)) for s in keys]
     return keys, _recur(summed, first_splits), den
 
@@ -212,20 +218,20 @@ def _query(kernels: FamilySeries, key: Key, phi: TruncatedSeries) -> Fraction:
     """[x^key] phi times the pinned exponential times det(Id - L), in integers.
 
     A split sum over the key's box of phi, where non-zero, times the split
-    sum of the other two factors, over D^|key| and the other denominators.
+    sum of the other two factors, each graded by D^|s|, over D^|key| and
+    phi's own denominator.
     """
     keys, exp, den = _box_exponential(kernels, key)
     _, splits, _ = _box(tuple(sorted(map(key.count, set(key)), reverse=True)))
-    _, _, det, det_den = _query_tables(kernels)
+    _, det, _ = _query_tables(kernels)
     det = [det.get(s, 0) for s in keys]
-    exp = [e * den ** (len(key) - len(s)) for e, s in zip(exp, keys)]
     phi_den = lcm(*(phi.table.get(s, 0).denominator for s in keys))
-    phi_num = [int(phi.table.get(s, 0) * phi_den) for s in keys]
+    phi_num = [int(phi.table.get(s, 0) * phi_den * den ** len(s)) for s in keys]
     total = sum(
         w * phi_num[a] * sum(u * exp[x] * det[y] for x, y, u in splits[b])
         for a, b, w in splits[-1] if phi_num[a]
     )
-    return Fraction(total, den ** len(key) * det_den * phi_den)
+    return Fraction(total, den ** len(key) * phi_den)
 
 
 def _pinned_key(kernels: FamilySeries, q_tuple: Sequence[str]) -> tuple[str, ...]:

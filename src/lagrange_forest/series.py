@@ -16,13 +16,13 @@ on the densities and lift only where atoms are read.
 
 Every kernel is polynomial in the number of keys: a product convolves the
 monomial coefficients f[key] / prod_c n_c! in integers, over the pairs of
-keys whose sizes fit the order; the exponential and the reciprocal run one
-loop, E[key] = sum_S w(S) K[S] E[key - S] over the sub-multisets S of a
-key, on split tables built once per shape, as the determinant route's
-queries do; and composition with a measure sums g_J prod_q W_q^(J_q) / J_q!
-over g's keys J, W being the atoms of the substituted measure, with the
-monomials kept as integer rows and one rational built per output key. No
-kernel enumerates set partitions.
+keys whose sizes fit the order; the exponential runs one loop, E[key] =
+sum_S w(S) K[S] E[key - S] over the sub-multisets S of a key, on split
+tables built once per shape, which the determinant route also reads; and
+composition with a measure sums g_J prod_q W_q^(J_q) / J_q! over g's keys
+J, W being the atoms of the substituted measure, with the monomials kept
+as integer rows and one rational built per output key. No kernel
+enumerates set partitions.
 """
 
 from __future__ import annotations
@@ -307,15 +307,9 @@ def _recur(values: Sequence, splits: list[list], sign: int = 1) -> list:
     return out
 
 
-def _on_simplex(k: TruncatedSeries, first_block: bool, sign: int) -> TruncatedSeries:
-    # _recur over the keys of size <= order on k's support, k[()] read as zero
-    support = sorted({c for key in k.table for c in key})
-    points, splits, first_splits = _simplex(len(support), k.order)
-    keys = [tuple(c for c, m in zip(support, s) for _ in range(m)) for s in points]
-    values = [0] + [k.table.get(key, 0) for key in keys[1:]]
-    out = _recur(values, first_splits if first_block else splits, sign)
-    out[0] = Fraction(1)
-    return TruncatedSeries(k.colors, k.order, {key: v for key, v in zip(keys, out) if v})
+def _product(p: Sequence, q: Sequence, splits: list[list]) -> list:
+    # out[t] = sum w p[a] q[b] over point t's splits: the product of p and q
+    return [sum(w * p[a] * q[b] for a, b, w in pairs if p[a]) for pairs in splits]
 
 
 def exponential(k: TruncatedSeries) -> TruncatedSeries:
@@ -328,13 +322,12 @@ def exponential(k: TruncatedSeries) -> TruncatedSeries:
     """
     if k.f0:
         raise NonzeroConstantTerm("exponential needs a vanishing constant term")
-    return _on_simplex(k, first_block=True, sign=1)
-
-
-def _reciprocal(p: TruncatedSeries) -> TruncatedSeries:
-    """Reciprocal of a series with constant term one: R = 1 - (p - 1) R, so
-    R[key] = -sum w p[S] R[key - S] over the key's splits with S non-empty."""
-    return _on_simplex(p, first_block=False, sign=-1)
+    support = sorted({c for key in k.table for c in key})
+    points, _, first_splits = _simplex(len(support), k.order)
+    keys = [tuple(c for c, m in zip(support, s) for _ in range(m)) for s in points]
+    out = _recur([k.table.get(key, 0) for key in keys], first_splits)
+    out[0] = Fraction(1)
+    return TruncatedSeries(k.colors, k.order, {key: v for key, v in zip(keys, out) if v})
 
 
 def variational_derivative(k: TruncatedSeries, pins: Sequence[str]) -> TruncatedSeries:

@@ -34,13 +34,20 @@ from lagrange_forest import cli  # noqa: E402
 
 #: (colors, order, extra argv, values, sha256 of stdout)
 CASES = (
-    ("ab", 14, (), GOLDEN_VALUES, "a646f8de4ee5650614354c605699841e70a32275d16349da35575eeecfe6df36"),
-    ("abc", 10, (), GOLDEN_VALUES, "bd922c9a541a73b06369a883fc7b94e2a47d9e643b976d4dfae82c33bc21780e"),
-    ("abc", 10, ("--det",), GOLDEN_VALUES, "f1ece0b98b9bb0d0282fce4990207b7cb198dd160c7e14c7dddf9893f0a149ca"),
-    ("abcd", 8, ("--det",), GOLDEN_VALUES, "b514ae0f27f1faafd0d62fca751719d1690a8c6cbc9822faaa03f37b5ae5864d"),
-    ("abc", 12, ("--det",), GOLDEN_VALUES, "180b490c9db433911d5a23ea41b3e94715f063680fb210f624881a50553c2c38"),
-    ("abcd", 10, ("--det",), GOLDEN_VALUES, "49392d817829b045f5842a29695f10d420622ba459650e7a04e6483d746ff30a"),
-    ("abcd", 7, ("--det",), QUERY_POOL, "464a53c50753490aa53c9e320634f44aa4695dbd654f4633b8fd3db95ba5113a"),
+    ("ab", 14, (), GOLDEN_VALUES,
+     "a646f8de4ee5650614354c605699841e70a32275d16349da35575eeecfe6df36"),
+    ("abc", 10, (), GOLDEN_VALUES,
+     "bd922c9a541a73b06369a883fc7b94e2a47d9e643b976d4dfae82c33bc21780e"),
+    ("abc", 10, ("--det",), GOLDEN_VALUES,
+     "f1ece0b98b9bb0d0282fce4990207b7cb198dd160c7e14c7dddf9893f0a149ca"),
+    ("abcd", 8, ("--det",), GOLDEN_VALUES,
+     "b514ae0f27f1faafd0d62fca751719d1690a8c6cbc9822faaa03f37b5ae5864d"),
+    ("abc", 12, ("--det",), GOLDEN_VALUES,
+     "180b490c9db433911d5a23ea41b3e94715f063680fb210f624881a50553c2c38"),
+    ("abcd", 10, ("--det",), GOLDEN_VALUES,
+     "49392d817829b045f5842a29695f10d420622ba459650e7a04e6483d746ff30a"),
+    ("abcd", 7, ("--det",), QUERY_POOL,
+     "464a53c50753490aa53c9e320634f44aa4695dbd654f4633b8fd3db95ba5113a"),
 )
 
 def run_case(

@@ -9,7 +9,6 @@ import lagrange_forest
 from lagrange_forest import (
     enumerate_crowns,
     enumerate_enriched_maps,
-    fredholm_determinant,
     solve_tree_fixed_point,
 )
 from lagrange_forest.combinat import (
@@ -36,13 +35,11 @@ def test_invert_det_computes_one_determinant(tmp_path):
     }
     config = tmp_path / "problem.json"
     config.write_text(dump_document(doc))
-    fredholm_determinant.cache_clear()
     _query_tables.cache_clear()
     assert main(["invert", str(config), "--det"]) == 0
     keys = 2 + 3 + 4 + 5  # non-empty keys of size <= 4 over two colors
-    assert fredholm_determinant.cache_info().misses == 1
-    # the determinant enters the integer tables once; every query reads them
-    # twice, for the exponential and for the product
+    # the determinant is eliminated once, into the integer tables; every
+    # query reads them twice, for the exponential and for the product
     info = _query_tables.cache_info()
     assert info.misses == 1
     assert info.hits == 2 * keys - 1
@@ -50,10 +47,10 @@ def test_invert_det_computes_one_determinant(tmp_path):
 
 def test_verify_trial_computes_one_determinant():
     # every suite of a trial receives the same family, so the four suites
-    # that read the determinant share one cache entry
-    fredholm_determinant.cache_clear()
+    # that read the determinant share one entry of the integer tables
+    _query_tables.cache_clear()
     run_suite("all", SuiteConfig(seed=3, colors=2, order=4, trials=2))
-    assert fredholm_determinant.cache_info().misses == 2
+    assert _query_tables.cache_info().misses == 2
 
 
 def test_verify_trial_solves_the_trial_family_once():
@@ -79,7 +76,6 @@ def test_every_cache_is_bounded():
         "combinat._crowns",
         "combinat._tree_sum",
         "combinat._map_sum",
-        "inversion.fredholm_determinant",
         "inversion.solve_tree_fixed_point",
         "inversion._box",
         "inversion._query_tables",

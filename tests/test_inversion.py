@@ -187,7 +187,7 @@ def test_fredholm_matches_crown_oracle():
 
 # A sparse family with zero diagonal kernels, whose L has an all-zero column
 # (no kernel depends on d), so the elimination skips rows with a zero entry
-# below the pivot, zero entries of a pivot row and the reciprocal of a pivot
+# below the pivot, zero entries of a pivot row and the inverse of a pivot
 # with nothing below it. L[c, b] = 0 while L[c, a] and L[a, b] are not, so
 # that zero entry of Id - L fills in before it is eliminated.
 SPARSE_KERNELS = make_kernel_family(

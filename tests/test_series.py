@@ -4,6 +4,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -32,11 +33,12 @@ from lagrange_forest import (
     solve_tree_fixed_point,
 )
 from lagrange_forest.harness import SuiteConfig, random_series
-from lagrange_forest.inversion import _box
+from lagrange_forest.inversion import _box, _query_tables, finite_matrix_determinant
 from lagrange_forest.series import (
     FamilySeries,
     TruncatedSeries,
-    _reciprocal,
+    _product,
+    _recur,
     _simplex,
     add,
     all_keys,
@@ -353,10 +355,10 @@ def test_kernel_family_is_a_family_series_with_identity_hash():
     assert first.value("b", ("b", "a")) == -1
     assert first.value("a", ("a",)) == 0
     # the caches key on the object: one miss per family object
-    fredholm_determinant.cache_clear()
+    _query_tables.cache_clear()
     for kernels in (first, first, second, first):
         fredholm_determinant(kernels)
-    info = fredholm_determinant.cache_info()
+    info = _query_tables.cache_info()
     assert (info.misses, info.hits) == (2, 2)
 
 
@@ -582,14 +584,33 @@ def test_exponential_matches_partition_oracle(d, order):
         assert e.coefficient(key) == exponential_oracle(k, key), key
 
 
+def assert_pivot_inverse_is_exact(p: TruncatedSeries) -> None:
+    # the determinant's pivot inverse: p (constant term one) at the simplex
+    # points of its colors times D^|s|, D the lcm of its denominators, is
+    # integral, and so is its inverse, _recur with sign -1; their product by
+    # the split tables is the unit vector, and multiply agrees on the series
+    names = p.colors.sorted_names
+    points, splits, _ = _simplex(len(names), p.order)
+    keys = [tuple(c for c, m in zip(names, s) for _ in range(m)) for s in points]
+    den = lcm(*(v.denominator for v in p.table.values()))
+    graded = [p.table.get(key, 0) * den ** len(key) for key in keys]
+    assert graded[0] == 1 and all(v.denominator == 1 for v in graded)
+    values = [int(v) for v in graded]
+    inverse = _recur([0, *values[1:]], splits, -1)
+    assert all(type(v) is int for v in inverse)
+    assert _product(values, inverse, splits) == [1] + [0] * (len(keys) - 1)
+    table = {key: Fraction(v, den ** len(key)) for key, v in zip(keys, inverse) if v}
+    one = constant_series(p.colors, p.order, 1)
+    assert multiply(p, TruncatedSeries(p.colors, p.order, table)) == one
+
+
 @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
 @pytest.mark.parametrize("d,order", [(1, 7), (2, 6), (3, 5)])
 def test_reciprocal_times_series_is_one(d, order, sparse):
     p = random_dense_series(d, order, f"recip:{d}", constant=False)
     if sparse:
         p = series_from(p.colors, order, dict(list(p.table.items())[::4]))
-    p = add(constant_series(p.colors, order, 1), p)
-    assert multiply(p, _reciprocal(p)) == constant_series(p.colors, order, 1)
+    assert_pivot_inverse_is_exact(add(constant_series(p.colors, order, 1), p))
 
 
 def position_splits(s: tuple[int, ...]) -> tuple[Counter, Counter]:
@@ -744,10 +765,10 @@ def test_every_producer_returns_a_normal_table(inputs):
         scale(k, 0),
         multiply(k, g),
         exponential(k0),
-        _reciprocal(add(constant_series(colors, order, 1), k0)),
         variational_derivative(k, colors.names[-1:]),
         compose_family(k, family),
         fredholm_determinant(kernels),
+        finite_matrix_determinant(kernels, colors.names[:1]),
         *radon_lift(family).members.values(),
         *compose_measure(family, family).members.values(),
         *kernels.members.values(),
@@ -756,3 +777,5 @@ def test_every_producer_returns_a_normal_table(inputs):
     ]
     for series in produced:
         assert_normal(series)
+    # the elimination's pivot inverses are integer vectors, not tables
+    assert_pivot_inverse_is_exact(add(constant_series(colors, order, 1), k0))
