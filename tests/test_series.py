@@ -589,9 +589,8 @@ def assert_pivot_inverse_is_exact(p: TruncatedSeries) -> None:
     # points of its colors times D^|s|, D the lcm of its denominators, is
     # integral, and so is its inverse, _recur with sign -1; their product by
     # the split tables is the unit vector, and multiply agrees on the series
-    names = p.colors.sorted_names
-    points, splits, _ = _simplex(len(names), p.order)
-    keys = [tuple(c for c, m in zip(names, s) for _ in range(m)) for s in points]
+    _, splits, _ = _simplex(p.colors.d, p.order)
+    keys = list(all_keys(p.colors, p.order))  # the simplex's points, in its order
     den = lcm(*(v.denominator for v in p.table.values()))
     graded = [p.table.get(key, 0) * den ** len(key) for key in keys]
     assert graded[0] == 1 and all(v.denominator == 1 for v in graded)
