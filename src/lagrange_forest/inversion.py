@@ -103,17 +103,21 @@ def solve_tree_fixed_point(kernels: FamilySeries) -> TreeSolution:
     return TreeSolution(tree_factors=current, inverse=radon_lift(current))
 
 
-def _determinant(kernels: FamilySeries, labels: Sequence[str]) -> tuple[int, dict[Key, int]]:
-    """det(Id - L) for the matrix L indexed by ``labels``: D and det[s] D^|s|.
+def _denominator(kernels: FamilySeries) -> int:  # D, the lcm of the kernels' denominators
+    return lcm(*(v.denominator for m in kernels.members.values() for v in m.table.values()))
+
+
+def _determinant(kernels: FamilySeries, labels: Sequence[str]) -> TruncatedSeries:
+    """det(Id - L) for the matrix L indexed by ``labels``.
 
     Entry (q, q') of L is the atom at q of the kernel at q differentiated
     at q'; cycles of L are crowns, and the determinant is their signed sum.
-    At s an entry times D^|s|, D the lcm of the kernels' denominators, is an
-    integer; as D^|S| D^|s - S| = D^|s|, elimination runs on these integers,
-    about d^3 / 3 split-table products for d labels. Every pivot has constant
-    term one: no pivoting, and its inverse is the split recurrence with sign -1.
+    At s an entry times D^|s| (:func:`_denominator`) is an integer; as D^|S|
+    D^|s - S| = D^|s|, elimination runs on these integers, about d^3 / 3
+    split-table products for d labels, up to the returned series. Every pivot
+    has constant term one: no pivoting, its inverse is _recur with sign -1.
     """
-    den = lcm(*(v.denominator for m in kernels.members.values() for v in m.table.values()))
+    den = _denominator(kernels)
     support = sorted({c for q in labels for key in kernels.members[q].table for c in (q, *key)})
     points, splits, _ = _simplex(len(support), kernels.order)
     keys = [tuple(c for c, m in zip(support, s) for _ in range(m)) for s in points]
@@ -132,12 +136,7 @@ def _determinant(kernels: FamilySeries, labels: Sequence[str]) -> tuple[int, dic
             for j in columns:
                 row[j] = [x - y for x, y in zip(row[j], _product(factor, pivot_row[j], splits))]
     det = reduce(lambda p, q: _product(p, q, splits), (row[k] for k, row in enumerate(matrix)))
-    return den, {s: v for s, v in zip(keys, det) if v}
-
-
-def _graded_series(kernels: FamilySeries, den: int, det: dict[Key, int]) -> TruncatedSeries:
-    # the determinant at the API boundary: det[s] / D^|s| at s
-    table = {s: Fraction(v, den ** len(s)) for s, v in det.items()}
+    table = {s: Fraction(v, den ** len(s)) for s, v in zip(keys, det) if v}
     return TruncatedSeries(kernels.colors, kernels.order, table)
 
 
@@ -147,10 +146,11 @@ def fredholm_determinant(kernels: FamilySeries) -> TruncatedSeries:
     Over a finite color set this is det(Id - L) for the derivative-kernel
     matrix L indexed by all colors. Its coefficient at a key is the signed
     sum over assemblies of crowns on the key's positions, each assembly
-    signed by its number of crowns. The constant term is one. It is built
-    from the family's integer tables (:func:`_query_tables`), its one cache.
+    signed by its number of crowns. The constant term is one. Each call
+    runs the elimination of :func:`_determinant`; the queries keep the
+    result once per family, graded in integers (:func:`_query_tables`).
     """
-    return _graded_series(kernels, *_query_tables(kernels)[:2])
+    return _determinant(kernels, kernels.colors.names)
 
 
 def finite_matrix_determinant(
@@ -162,13 +162,13 @@ def finite_matrix_determinant(
     the kernel at q differentiated at q'. Coefficients at tuples whose
     colors lie inside Q agree with the Fredholm determinant, and enlarging Q
     leaves them unchanged; over all colors the two are the same series. It
-    runs the Fredholm determinant's elimination, uncached.
+    runs the Fredholm determinant's elimination on the rows of Q.
     """
     labels = tuple(dict.fromkeys(subset))
     if not labels:
         raise EmptySubset("the pinned color set must be non-empty")
     kernels.colors.require(labels)
-    return _graded_series(kernels, *_determinant(kernels, labels))
+    return _determinant(kernels, labels)
 
 
 @lru_cache(maxsize=256)
@@ -187,15 +187,15 @@ def _box(counts: tuple[int, ...]) -> tuple[list[tuple[int, ...]], list[list], li
 def _query_tables(kernels: FamilySeries) -> tuple[int, dict, dict]:
     """D, the Fredholm determinant and the kernels in integers, once per family.
 
-    At s, the determinant holds det[s] D^|s| (:func:`_determinant`) and the
-    kernel pinned at q A_q[s] D^|s|, D the lcm of the kernels' denominators.
+    At s, det[s] D^|s| and the kernel pinned at q A_q[s] D^|s| are integers
+    (:func:`_determinant`). This is the determinant's one cache.
     """
-    den, det = _determinant(kernels, kernels.colors.names)
-    scaled = {
-        q: {s: int(v * den ** len(s)) for s, v in m.table.items()}
-        for q, m in kernels.members.items()
-    }
-    return den, det, scaled
+    den = _denominator(kernels)
+    det, *scaled = (
+        {s: int(v * den ** len(s)) for s, v in m.table.items()}
+        for m in (fredholm_determinant(kernels), *kernels.members.values())
+    )
+    return den, det, dict(zip(kernels.members, scaled))
 
 
 def _box_exponential(kernels: FamilySeries, key: Key) -> tuple[list[Key], list[int], int]:

@@ -46,8 +46,8 @@ def test_invert_det_computes_one_determinant(tmp_path):
 
 
 def test_verify_trial_computes_one_determinant():
-    # every suite of a trial receives the same family, so the four suites
-    # that read the determinant share one entry of the integer tables
+    # every suite of a trial receives the same family, so the three suites
+    # that query the determinant route share one entry of the integer tables
     _query_tables.cache_clear()
     run_suite("all", SuiteConfig(seed=3, colors=2, order=4, trials=2))
     assert _query_tables.cache_info().misses == 2
