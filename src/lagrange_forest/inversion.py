@@ -37,6 +37,7 @@ from .series import (
     _Monomials,
     _atom,
     _compose_table,
+    _keys,
     _product,
     _recur,
     _simplex,
@@ -114,13 +115,15 @@ def _determinant(kernels: FamilySeries, labels: Sequence[str]) -> TruncatedSerie
     at q'; cycles of L are crowns, and the determinant is their signed sum.
     At s an entry times D^|s| (:func:`_denominator`) is an integer; as D^|S|
     D^|s - S| = D^|s|, elimination runs on these integers, about d^3 / 3
-    split-table products for d labels, up to the returned series. Every pivot
+    scatter products (_product) for d labels, up to the returned series. Every pivot
     has constant term one: no pivoting, its inverse is _recur with sign -1.
     """
     den = _denominator(kernels)
-    support = sorted({c for q in labels for key in kernels.members[q].table for c in (q, *key)})
-    points, splits, _ = _simplex(len(support), kernels.order)
-    keys = [tuple(c for c, m in zip(support, s) for _ in range(m)) for s in points]
+    support = tuple(
+        sorted({c for q in labels for key in kernels.members[q].table for c in (q, *key)})
+    )
+    _, splits, _, forward = _simplex(len(support), kernels.order)
+    keys = _keys(support, kernels.order)
     matrix = []  # row q' holds column q' of -L: the transpose, same determinant
     for qp in labels:
         pinned = {q: variational_derivative(kernels.members[q], (qp,)).table for q in labels}
@@ -132,10 +135,10 @@ def _determinant(kernels: FamilySeries, labels: Sequence[str]) -> TruncatedSerie
         inverse = _recur([0, *pivot_row[k][1:]], splits, -1) if rows else None
         columns = [j for j in range(k + 1, len(matrix)) if any(pivot_row[j])]
         for row in rows:
-            factor = _product(row[k], inverse, splits)
+            factor = _product(row[k], inverse, forward)
             for j in columns:
-                row[j] = [x - y for x, y in zip(row[j], _product(factor, pivot_row[j], splits))]
-    det = reduce(lambda p, q: _product(p, q, splits), (row[k] for k, row in enumerate(matrix)))
+                row[j] = [x - y for x, y in zip(row[j], _product(factor, pivot_row[j], forward))]
+    det = reduce(lambda p, q: _product(p, q, forward), (row[k] for k, row in enumerate(matrix)))
     table = {s: Fraction(v, den ** len(s)) for s, v in zip(keys, det) if v}
     return TruncatedSeries(kernels.colors, kernels.order, table)
 
@@ -228,8 +231,8 @@ def _query(kernels: FamilySeries, key: Key, phi: TruncatedSeries) -> Fraction:
     phi_den = lcm(*(phi.table.get(s, 0).denominator for s in keys))
     phi_num = [int(phi.table.get(s, 0) * phi_den * den ** len(s)) for s in keys]
     total = sum(
-        w * phi_num[a] * sum(u * exp[x] * det[y] for x, y, u in splits[b])
-        for a, b, w in splits[-1] if phi_num[a]
+        w * phi_num[a] * sum(u * exp[x] * det[y] for x, y, u, _ in splits[b])
+        for a, b, w, _ in splits[-1] if phi_num[a]
     )
     return Fraction(total, den ** len(key) * phi_den)
 

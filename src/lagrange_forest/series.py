@@ -14,15 +14,18 @@ measure-valued series is one too: its member at a color is the atom at
 that color, the radon lift of its density. Compositions of measures work
 on the densities and lift only where atoms are read.
 
-Every kernel is polynomial in the number of keys: a product convolves the
-monomial coefficients f[key] / prod_c n_c! in integers, over the pairs of
-keys whose sizes fit the order; the exponential runs one loop, E[key] =
-sum_S w(S) K[S] E[key - S] over the sub-multisets S of a key, on split
-tables built once per shape, which the determinant route also reads; and
-composition with a measure sums g_J prod_q W_q^(J_q) / J_q! over g's keys
-J, W being the atoms of the substituted measure, with the monomials kept
-as integer rows and one rational built per output key. No kernel
-enumerates set partitions.
+Every kernel works on the count vectors of size <= order over the colors
+its inputs carry (_simplex, cached once per shape and read in all_keys
+order), so its cost follows the number of those colors and the order, not
+the non-zero entries. Split tables list how a point splits into two, with
+the binomial weight w of its position subsets. One scatter product,
+sum w p[a] q[b], multiplies integer vectors graded by D^|s| (D an lcm of
+denominators) for multiply, the composition's monomials and the
+determinant's elimination; the exponential runs one loop, E[key] = sum_S
+w(S) K[S] E[key - S] over the sub-multisets S of a key; and composition
+with a measure sums g_J prod_q W_q^(J_q) / J_q! over g's keys J, W being
+the atoms of the substituted measure, with one rational built per output
+key. No kernel enumerates set partitions.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, groupby, product
-from math import comb, factorial, lcm, prod
+from itertools import combinations_with_replacement, product
+from math import comb, lcm, prod
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import (
@@ -191,110 +194,57 @@ def scale(k: TruncatedSeries, factor: RationalLike) -> TruncatedSeries:
     )
 
 
-def _factorial_weight(key: Key) -> int:
-    # prod_c n_c! over the colors c of a canonical key
-    weight = 1
-    for _, run in groupby(key):
-        weight *= factorial(len(tuple(run)))
-    return weight
-
-
-_Rows = tuple[list[tuple[Key, int]], int]
-
-
-def _monomial_rows(table: dict[Key, Fraction], max_size: int) -> _Rows:
-    # Integer rows (key, m) and one denominator D with m / (D * max_size!) the
-    # monomial coefficient value / prod_c n_c!; rows are sorted by key size.
-    rows = sorted(
-        (item for item in table.items() if len(item[0]) <= max_size),
-        key=lambda item: len(item[0]),
-    )
-    den = lcm(*(value.denominator for _, value in rows))
-    top = factorial(max_size)
-    scaled = [
-        (key, value.numerator * (den // value.denominator) * (top // _factorial_weight(key)))
-        for key, value in rows
-    ]
-    return scaled, den
-
-
-def _convolve(a: _Rows, b: _Rows, max_size: int) -> _Rows:
-    # Convolution of monomial rows in integers, in the rows' own convention:
-    # only the pairs whose sizes fit max_size are visited, and the result's
-    # rows are sorted by key size with zero sums dropped.
-    rows_a, den_a = a
-    rows_b, den_b = b
-    sums: dict[Key, int] = {}
-    for key_a, na in rows_a:
-        room = max_size - len(key_a)
-        for key_b, nb in rows_b:
-            if len(key_b) > room:
-                break
-            merged = tuple(sorted(key_a + key_b))
-            sums[merged] = sums.get(merged, 0) + na * nb
-    rows = sorted((item for item in sums.items() if item[1]), key=lambda item: len(item[0]))
-    return rows, den_a * den_b * factorial(max_size)
-
-
-def _values(
-    entries: Iterable[tuple[Key, int]], den: int, max_size: int
-) -> dict[Key, Fraction]:
-    # The symmetric-function values of monomial rows, one rational per non-zero row.
-    den *= factorial(max_size)
-    return {key: Fraction(m * _factorial_weight(key), den) for key, m in entries if m}
-
-
-def multiply(k: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
-    """Product series: each coefficient is a sum over splits of its key.
-
-    The coefficient at a tuple is the sum, over all subsets J of the tuple's
-    positions, of K at the J-part times G at the complement. In monomial
-    coefficients (the value divided by prod_c n_c!, n_c counting color c in
-    the key) this is a plain convolution with no binomial multiplicities. It
-    is computed in integers: each table is scaled to one common denominator
-    and by order! / prod_c n_c!, only pairs of keys whose sizes fit the
-    order are visited, and each sum becomes a rational once.
-    """
-    _check_pair(k, g)
-    rows = (_monomial_rows(k.table, k.order), _monomial_rows(g.table, k.order))
-    return TruncatedSeries(k.colors, k.order, _values(*_convolve(*rows, k.order), k.order))
-
-
 def _split_table(points: Sequence[tuple[int, ...]]) -> tuple[list[list], list[list]]:
     """The splits of every point of a down-closed list of count vectors.
 
-    The points come sub-multisets first, the empty one first. Point s has
-    splits (a, b, w) for points[a] = S, points[b] = s - S and w = prod_c
-    C(s_c, S_c), the number of position subsets of a key counted by s whose
-    colors S counts; its first-block splits count only the subsets holding
-    the first position: C(s_c0 - 1, S_c0 - 1) prod_{c != c0} C(s_c, S_c).
+    The points come sub-multisets first, the empty one first. Point t, with
+    points[t] = s, has splits (a, b, w, t) for points[a] = S, points[b] = s - S
+    and w = prod_c C(s_c, S_c), the number of position subsets of a key
+    counted by s whose colors S counts; its first-block splits count only the
+    subsets holding the first position: C(s_c0 - 1, S_c0 - 1) prod_{c != c0}
+    C(s_c, S_c).
     """
     index = {s: t for t, s in enumerate(points)}
     splits, first_splits = [], []
-    for s in points:
+    for t, s in enumerate(points):
         splits.append([
-            (index[part], index[tuple(m - p for m, p in zip(s, part))], prod(map(comb, s, part)))
+            (index[part], index[tuple(m - p for m, p in zip(s, part))],
+             prod(map(comb, s, part)), t)
             for part in product(*(range(m + 1) for m in s))
         ])
         c0 = next((c for c, m in enumerate(s) if m), None)
         # C(s_c0 - 1, S_c0 - 1) = C(s_c0, S_c0) S_c0 / s_c0
         first_splits.append([
-            (a, b, w * points[a][c0] // s[c0])
-            for a, b, w in splits[-1] if c0 is not None and points[a][c0]
+            (a, b, w * points[a][c0] // s[c0], t)
+            for a, b, w, _ in splits[-1] if c0 is not None and points[a][c0]
         ])
     return splits, first_splits
 
 
 @lru_cache(maxsize=8)
-def _simplex(d: int, max_size: int) -> tuple[list[tuple[int, ...]], list[list], list[list]]:
+def _simplex(d: int, max_size: int) -> tuple[list[tuple[int, ...]], list, list, list]:
     # the count vectors of size <= max_size over d colors, in all_keys order,
-    # and their split tables
+    # their split tables, and the forward splits of each point a: the splits
+    # (a, b, w, t) of the points t, in point order, the same tuples. Point
+    # counts by size are prefixes, so the tables serve every truncation.
     points = [
         tuple(map(combo.count, range(d)))
         for n in range(max_size + 1)
         for combo in combinations_with_replacement(range(d), n)
     ]
-    return (points, *_split_table(points))
+    splits, first_splits = _split_table(points)
+    forward = [[] for _ in points]
+    for pairs in splits:
+        for split in pairs:
+            forward[split[0]].append(split)
+    return points, splits, first_splits, forward
+
+
+@lru_cache(maxsize=8)
+def _keys(support: tuple[str, ...], max_size: int) -> list[Key]:
+    # the canonical key of each point of _simplex over the sorted colors support
+    points = _simplex(len(support), max_size)[0]
+    return [tuple(c for c, m in zip(support, s) for _ in range(m)) for s in points]
 
 
 def _recur(values: Sequence, splits: list[list], sign: int = 1) -> list:
@@ -303,13 +253,45 @@ def _recur(values: Sequence, splits: list[list], sign: int = 1) -> list:
     # never read
     out = [1]
     for pairs in splits[1:]:
-        out.append(sign * sum(w * values[a] * out[b] for a, b, w in pairs if values[a]))
+        out.append(sign * sum(w * values[a] * out[b] for a, b, w, _ in pairs if values[a]))
     return out
 
 
-def _product(p: Sequence, q: Sequence, splits: list[list]) -> list:
-    # out[t] = sum w p[a] q[b] over point t's splits: the product of p and q
-    return [sum(w * p[a] * q[b] for a, b, w in pairs if p[a]) for pairs in splits]
+def _product(p: Sequence, q: Sequence, forward: list[list]) -> list:
+    # out[t] = sum w p[a] q[b] over the splits (a, b, w, t) of the first
+    # len(p) points: each non-zero p[a] is scattered along a's forward splits
+    # up to the truncation
+    limit = len(p)
+    out = [0] * limit
+    for a, x in enumerate(p):
+        if x:
+            for _, b, w, t in forward[a]:
+                if t >= limit:
+                    break
+                out[t] += w * x * q[b]
+    return out
+
+
+def multiply(k: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
+    """Product series: each coefficient is a sum over splits of its key.
+
+    The coefficient at a tuple is the sum, over all subsets J of the tuple's
+    positions, of K at the J-part times G at the complement. It is computed
+    in integers on the points of the factors' colors: with D the lcm of their
+    denominators, each factor at s times D^(|s| + 1) is an integer (the
+    constant terms need the extra D), the product of two such is graded by
+    D^(|s| + 2), and each non-zero sum becomes a rational once.
+    """
+    _check_pair(k, g)
+    support = tuple(sorted({c for table in (k.table, g.table) for key in table for c in key}))
+    keys = _keys(support, k.order)
+    den = lcm(*(v.denominator for table in (k.table, g.table) for v in table.values()))
+    p, q = (
+        [int(t.get(key, 0) * den ** (len(key) + 1)) for key in keys] for t in (k.table, g.table)
+    )
+    out = _product(p, q, _simplex(len(support), k.order)[3])
+    table = {key: Fraction(v, den ** (len(key) + 2)) for key, v in zip(keys, out) if v}
+    return TruncatedSeries(k.colors, k.order, table)
 
 
 def exponential(k: TruncatedSeries) -> TruncatedSeries:
@@ -322,10 +304,9 @@ def exponential(k: TruncatedSeries) -> TruncatedSeries:
     """
     if k.f0:
         raise NonzeroConstantTerm("exponential needs a vanishing constant term")
-    support = sorted({c for key in k.table for c in key})
-    points, _, first_splits = _simplex(len(support), k.order)
-    keys = [tuple(c for c, m in zip(support, s) for _ in range(m)) for s in points]
-    out = _recur([k.table.get(key, 0) for key in keys], first_splits)
+    support = tuple(sorted({c for key in k.table for c in key}))
+    keys = _keys(support, k.order)
+    out = _recur([k.table.get(key, 0) for key in keys], _simplex(len(support), k.order)[2])
     out[0] = Fraction(1)
     return TruncatedSeries(k.colors, k.order, {key: v for key, v in zip(keys, out) if v})
 
@@ -460,45 +441,56 @@ def _check_family(g: TruncatedSeries | FamilySeries, family: FamilySeries) -> No
 class _Monomials(dict):
     """Products prod_q W_q^(J_q) / J_q! by key J, for W the radon lift of a family.
 
-    Each entry is kept as integer monomial rows truncated at ``max_size``
-    and built on first lookup, by one integer convolution of its prefix's
-    rows with the rows of the atom at its last color; the share 1 / J_q of
-    that color's power goes into the denominator. A table can be shared by
-    every composition with the same family and truncation.
+    Each entry is an integer vector over the points of size <= ``max_size``
+    of the family-order simplex on the atoms' colors, graded by D^|s| (D the
+    lcm of the atoms' denominators: a product of two graded vectors is graded
+    again). It is built on first lookup, as its prefix's vector times the
+    atom at its last color q, divided by J_q, which is exact. A table can be
+    shared by every composition with the same family and truncation.
     """
 
     def __init__(self, family: FamilySeries, max_size: int) -> None:
-        super().__init__({(): ([((), factorial(max_size))], 1)})
+        atoms = radon_lift(family).members.items()
+        support = tuple(sorted({c for _, atom in atoms for key in atom.table for c in key}))
         self.max_size = max_size
-        self.atom_rows = {
-            q: _monomial_rows(atom.table, max_size)
-            for q, atom in radon_lift(family).members.items()
+        self.keys = _keys(support, family.order)[: comb(max_size + len(support), max_size)]
+        self.forward = _simplex(len(support), family.order)[3]
+        self.den = lcm(*(v.denominator for _, atom in atoms for v in atom.table.values()))
+        self.atoms = {
+            q: [int(atom.table.get(key, 0) * self.den ** len(key)) for key in self.keys]
+            for q, atom in atoms
         }
+        super().__init__({(): [1] + [0] * (len(self.keys) - 1)})
 
-    def __missing__(self, key: Key) -> _Rows:
+    def __missing__(self, key: Key) -> list[int]:
         color = key[-1]
-        rows, den = _convolve(self[key[:-1]], self.atom_rows[color], self.max_size)
-        self[key] = entry = (rows, den * key.count(color))
+        share = key.count(color)  # J_q
+        vector = _product(self[key[:-1]], self.atoms[color], self.forward)
+        self[key] = entry = [v // share for v in vector]
         return entry
 
 
 def _compose_table(g: TruncatedSeries, monomials: _Monomials) -> dict[Key, Fraction]:
     # sum_J g_J prod_q W_q^(J_q) / J_q!, up to size monomials.max_size: each
-    # g_J / den_J is scaled to one common denominator, the integer rows are
-    # summed, and each output key becomes a rational once
+    # g_J is scaled to one common denominator, the graded monomial vectors are
+    # summed in integers, and each output key becomes a rational once
     terms = [
         (gv, monomials[key])
         for key, gv in g.table.items()
         if key and len(key) <= monomials.max_size
     ]
-    den = lcm(*(gv.denominator * den_j for gv, (_, den_j) in terms))
-    sums: dict[Key, int] = {}
-    for gv, (rows, den_j) in terms:
-        factor = gv.numerator * (den // (gv.denominator * den_j))
-        for merged, m in rows:
-            sums[merged] = sums.get(merged, 0) + factor * m
+    den = lcm(*(gv.denominator for gv, _ in terms))
+    sums = [0] * len(monomials.keys)
+    for gv, vector in terms:
+        factor = gv.numerator * (den // gv.denominator)
+        for t, m in enumerate(vector):
+            if m:
+                sums[t] += factor * m
     out = {(): g.f0} if g.f0 else {}
-    out.update(_values(sums.items(), den, monomials.max_size))
+    out.update(
+        (key, Fraction(v, den * monomials.den ** len(key)))
+        for key, v in zip(monomials.keys, sums) if v
+    )
     return out
 
 

@@ -45,6 +45,20 @@ def dense_golden_doc(colors: str = "ab", order: int = 5, values=GOLDEN_VALUES) -
         for n in range(1, order + 1)
         for key in combinations_with_replacement(colors, n)
     ]
+    return _golden_doc(colors, order, keys, values)
+
+
+def cyclic_golden_doc(colors: str = "abcde", order: int = 7, values=GOLDEN_VALUES) -> dict:
+    """A sparse ``invert`` document: the kernel at each color has two keys, its
+    successor in ``colors`` (the first color follows the last) and itself with
+    that successor, the values cycling through ``values``."""
+    successors = colors[1:] + colors[:1]
+    keys = [(q, key) for q, nxt in zip(colors, successors) for key in ((nxt,), (q, nxt))]
+    return _golden_doc(colors, order, keys, values)
+
+
+def _golden_doc(colors: str, order: int, keys: list, values) -> dict:
+    # the document of (pinned color, key) pairs, the values cycling in their order
     groups: dict[int, list] = {}
     for i, (q, key) in enumerate(keys):
         entry = {"q": q, "x": list(key), "value": str(values[i % len(values)])}

@@ -37,6 +37,8 @@ from lagrange_forest.inversion import _box, _query_tables, finite_matrix_determi
 from lagrange_forest.series import (
     FamilySeries,
     TruncatedSeries,
+    _Monomials,
+    _compose_table,
     _product,
     _recur,
     _simplex,
@@ -588,8 +590,8 @@ def assert_pivot_inverse_is_exact(p: TruncatedSeries) -> None:
     # the determinant's pivot inverse: p (constant term one) at the simplex
     # points of its colors times D^|s|, D the lcm of its denominators, is
     # integral, and so is its inverse, _recur with sign -1; their product by
-    # the split tables is the unit vector, and multiply agrees on the series
-    _, splits, _ = _simplex(p.colors.d, p.order)
+    # the forward splits is the unit vector, and multiply agrees on the series
+    _, splits, _, forward = _simplex(p.colors.d, p.order)
     keys = list(all_keys(p.colors, p.order))  # the simplex's points, in its order
     den = lcm(*(v.denominator for v in p.table.values()))
     graded = [p.table.get(key, 0) * den ** len(key) for key in keys]
@@ -597,7 +599,7 @@ def assert_pivot_inverse_is_exact(p: TruncatedSeries) -> None:
     values = [int(v) for v in graded]
     inverse = _recur([0, *values[1:]], splits, -1)
     assert all(type(v) is int for v in inverse)
-    assert _product(values, inverse, splits) == [1] + [0] * (len(keys) - 1)
+    assert _product(values, inverse, forward) == [1] + [0] * (len(keys) - 1)
     table = {key: Fraction(v, den ** len(key)) for key, v in zip(keys, inverse) if v}
     one = constant_series(p.colors, p.order, 1)
     assert multiply(p, TruncatedSeries(p.colors, p.order, table)) == one
@@ -627,25 +629,31 @@ def position_splits(s: tuple[int, ...]) -> tuple[Counter, Counter]:
 
 
 @pytest.mark.parametrize(
-    "points, splits, first_splits",
+    "points, splits, first_splits, forward",
     [_simplex(d, order) for d, order in [(1, 6), (2, 5), (3, 4), (4, 3)]]
-    + [_box(counts) for counts in [(3,), (2, 1), (2, 2, 1), (1, 1, 1, 1)]],
+    + [(*_box(counts), None) for counts in [(3,), (2, 1), (2, 2, 1), (1, 1, 1, 1)]],
     ids=["simplex-1-6", "simplex-2-5", "simplex-3-4", "simplex-4-3",
          "box-3", "box-2-1", "box-2-2-1", "box-1-1-1-1"],
 )
-def test_split_tables_match_position_subsets(points, splits, first_splits):
+def test_split_tables_match_position_subsets(points, splits, first_splits, forward):
     assert len(set(points)) == len(points) == len(splits) == len(first_splits)
     for t, s in enumerate(points):
         every, first = position_splits(s)
         for table, expected in [(splits[t], every), (first_splits[t], first)]:
-            assert len({a for a, _, _ in table}) == len(table)
+            assert len({a for a, _, _, _ in table}) == len(table)
             found = Counter()
-            for a, b, w in table:
+            for a, b, w, target in table:
                 # sub-multisets come first, and each split adds up to s
-                assert a <= t and b <= t
+                assert a <= t and b <= t and target == t
                 assert tuple(map(sum, zip(points[a], points[b]))) == s
                 found[points[a]] += w
             assert found == expected, s
+    if forward is not None:
+        # a's forward entries (t, b, w) are exactly the splits (a, b, w) of
+        # the points t, in point order
+        assert len(forward) == len(points)
+        for a, entries in enumerate(forward):
+            assert entries == [split for pairs in splits for split in pairs if split[0] == a]
 
 
 def test_simplex_points_follow_all_keys():
@@ -679,6 +687,31 @@ def test_compose_family_matches_assignment_oracle(d, order):
 @pytest.mark.parametrize("d,order", ORACLE_GRID)
 def test_compose_family_matches_assignment_oracle_on_mixed_denominators(d, order):
     assert_compose_family_matches_oracle(d, order, PRODUCT_POOL, "cf-mixed")
+
+
+def test_truncated_composition_is_the_composition_at_that_order():
+    # _Monomials at a truncation below the family order reads a prefix of
+    # the family-order tables: the family re-made at that order composes to
+    # the same table. The tree fixed point cannot show a wrong prefix, as
+    # its last step composes at the full order.
+    d, order = 3, 4
+    g = random_dense_series(d, order, f"trunc-g:{d}", pool=PRODUCT_POOL)
+    colors = g.colors
+    fam = FamilySeries(
+        colors,
+        order,
+        {q: random_dense_series(d, order, f"trunc-{q}:{d}", pool=PRODUCT_POOL)
+         for q in colors.names},
+    )
+    for size in range(order):
+        g_cut = truncate(g, size)
+        fam_cut = FamilySeries(
+            colors, size, {q: truncate(m, size) for q, m in fam.members.items()}
+        )
+        table = _compose_table(g, _Monomials(fam, size))
+        assert table == compose_family(g_cut, fam_cut).table, size
+        for key in all_keys(colors, size):
+            assert table.get(key, 0) == compose_oracle(g_cut, fam_cut, key), key
 
 
 @pytest.mark.parametrize("d,order", [(1, 7), (2, 5), (3, 4)])
