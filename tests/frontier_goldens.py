@@ -5,17 +5,21 @@ Usage, from the root of a checkout:
     python3 tests/frontier_goldens.py
 
 Each case writes a document, runs ``lagrange_forest.cli.main`` on it
-in-process, and compares the sha256 of its standard output with the
-recorded digest. The documents are dense (``helpers.dense_golden_doc``:
-every key of size 1..N for every pinned color) except the ``cyclic`` one
-(``helpers.cyclic_golden_doc``: two keys per pinned color, its successor
-and itself with it). Values cycle through 1, -1/2, 1/2, -1, or for the
-``query`` case through ``helpers.QUERY_POOL``, whose denominators are 1, 2,
-3, 5 and 7. One line per case gives the verdict and the wall seconds of
-the run. The exit code is 0 when every digest matches and 1 otherwise. The
-outputs run to tens of kilobytes, so only their digests are kept; a
-mismatch is located with the pinned tier-1 tests or by diffing the output
-against an earlier checkout.
+in-process, and checks its standard output. Most cases compare the sha256
+of that output with the recorded digest. Their documents are dense
+(``helpers.dense_golden_doc``: every key of size 1..N for every pinned
+color) except the ``cyclic`` one (``helpers.cyclic_golden_doc``: two keys
+per pinned color, its successor and itself with it). Values cycle through
+1, -1/2, 1/2, -1, or for the ``query`` case through ``helpers.QUERY_POOL``,
+whose denominators are 1, 2, 3, 5 and 7. The ``closed-form`` cases
+(``helpers.linear_golden_doc``: kernels of size one, B every color but the
+last) compare the ``tree`` and ``det`` column of every row with
+``helpers.closed_form_inverse``, which shares no code with the package. One
+line per case gives the verdict and the wall seconds of the run. The exit
+code is 0 when every case passes and 1 otherwise. The outputs run to tens
+of kilobytes, so only their digests are kept; a mismatch is located with
+the pinned tier-1 tests or by diffing the output against an earlier
+checkout.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import sys
 import tempfile
 import time
@@ -31,11 +36,21 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from helpers import GOLDEN_VALUES, QUERY_POOL, cyclic_golden_doc, dense_golden_doc  # noqa: E402  (tests/ is the script's own directory)
+from helpers import (  # noqa: E402  (tests/ is the script's own directory)
+    GOLDEN_VALUES,
+    LINEAR_VALUES,
+    QUERY_POOL,
+    closed_form_inverse,
+    cyclic_golden_doc,
+    dense_golden_doc,
+    linear_golden_doc,
+    size_one_matrix,
+)
 
 from lagrange_forest import cli  # noqa: E402
 
-#: (document builder, colors, order, extra argv, values, sha256 of stdout)
+#: (document builder, colors, order, extra argv, values, sha256 of stdout, or
+#: None to check every row against the closed form)
 CASES = (
     (dense_golden_doc, "ab", 14, (), GOLDEN_VALUES,
      "a646f8de4ee5650614354c605699841e70a32275d16349da35575eeecfe6df36"),
@@ -53,33 +68,50 @@ CASES = (
      "464a53c50753490aa53c9e320634f44aa4695dbd654f4633b8fd3db95ba5113a"),
     (cyclic_golden_doc, "abcde", 7, ("--det",), GOLDEN_VALUES,
      "dc8f6189ec2c354c56ab19b1d0b3f8c58644739dad34204624987942afc94aab"),
+    (dense_golden_doc, "abcd", 12, ("--det",), GOLDEN_VALUES,
+     "d8628e3e571197ac1d52e8de2064d5fab14718acf32814338e6f0da200553f5c"),
+    (dense_golden_doc, "abc", 16, ("--det",), GOLDEN_VALUES,
+     "cb175cf2e16330317540e0c341718f044978d7944e9f1b3bdb02d99f9cdcd9e1"),
+    (linear_golden_doc, "abc", 10, ("--det",), LINEAR_VALUES, None),
+    (linear_golden_doc, "abcd", 8, ("--det",), LINEAR_VALUES, None),
 )
 
 
 def run_case(
-    directory: Path, build, colors: str, order: int, extra: tuple[str, ...], values
+    directory: Path, build, colors: str, order: int, extra: tuple[str, ...], values, digest
 ) -> tuple[int, str, float]:
-    """Exit code, stdout sha256 and wall seconds of one `invert` run."""
+    """Exit code, what went wrong ("" if nothing) and wall seconds of one `invert` run."""
+    doc = build(colors, order, values)
     path = directory / f"{build.__name__}-{colors}-{order}.json"
-    path.write_text(cli.dump_document(build(colors, order, values)))
+    path.write_text(cli.dump_document(doc))
     out = io.StringIO()
     start = time.perf_counter()
     with contextlib.redirect_stdout(out):
         code = cli.main(["invert", str(path), *extra])
     seconds = time.perf_counter() - start
-    return code, hashlib.sha256(out.getvalue().encode()).hexdigest(), seconds
+    if digest is not None:
+        got = hashlib.sha256(out.getvalue().encode()).hexdigest()
+        return code, "" if got == digest else f"sha256 {got}", seconds
+    result, a = json.loads(out.getvalue()), size_one_matrix(doc)
+    for row in result["coefficients"]:
+        expected = str(closed_form_inverse(a, result["B"], tuple(row["x"])))
+        if not row["tree"] == row["det"] == expected:
+            found = f"tree {row['tree']}, det {row['det']}, closed form {expected}"
+            return code, f"at {row['x']}: {found}", seconds
+    return code, "", seconds
 
 
 def main() -> int:
     failures = 0
     with tempfile.TemporaryDirectory() as tmp:
         for build, colors, order, extra, values, digest in CASES:
-            code, got, seconds = run_case(Path(tmp), build, colors, order, extra, values)
-            ok = code == 0 and got == digest
+            code, wrong, seconds = run_case(Path(tmp), build, colors, order, extra, values, digest)
+            ok = code == 0 and not wrong
             failures += not ok
             label = " ".join(("invert", *extra, f"d={len(colors)}", f"N={order}"))
             label += " query" * (values is QUERY_POOL) + " cyclic" * (build is cyclic_golden_doc)
-            detail = "" if ok else f" (exit {code}, sha256 {got})"
+            label += " closed-form" * (digest is None)
+            detail = "" if ok else f" (exit {code}, {wrong})"
             print(f"{'PASS' if ok else 'FAIL'} {label}: {seconds:.2f} s{detail}", flush=True)
     return 1 if failures else 0
 

@@ -2,8 +2,9 @@
 
 Everything here is deliberately written from scratch against the defining
 formulas (subset sums, set partitions, Bell recurrence, raw product
-enumeration, Leibniz expansions, walks of a map's digraph) so the package
-under test never checks itself against its own code paths.
+enumeration, Leibniz expansions, walks of a map's digraph, the Lagrange–Good
+closed form for kernels of size one) so the package under test never checks
+itself against its own code paths.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, combinations_with_replacement, permutations, product
+from math import factorial, prod
 
 from lagrange_forest.combinat import EnrichedMap
 from lagrange_forest.series import ColorSet, TruncatedSeries, all_keys, make_series, multiply
@@ -35,6 +37,9 @@ QUERY_POOL = tuple(map(Fraction, ("1", "-1/2", "2/3", "-3/5", "4/7", "0", str(5 
 # the values dense_golden_doc cycles through
 GOLDEN_VALUES = ("1", "-1/2", "1/2", "-1")
 
+# the values linear_golden_doc cycles through: denominators 1, 2 and 3
+LINEAR_VALUES = ("2/3", "-1/2", "1", "-1/3", "3/2")
+
 
 def dense_golden_doc(colors: str = "ab", order: int = 5, values=GOLDEN_VALUES) -> dict:
     """An ``invert`` document with every key of size 1..order for every pinned
@@ -57,6 +62,15 @@ def cyclic_golden_doc(colors: str = "abcde", order: int = 7, values=GOLDEN_VALUE
     return _golden_doc(colors, order, keys, values)
 
 
+def linear_golden_doc(colors: str = "abc", order: int = 8, values=LINEAR_VALUES) -> dict:
+    """An ``invert`` document whose kernels have size one, A_q = sum_c a_qc z_c,
+    every a_qc set, the values cycling through ``values`` with q slowest; B is
+    every color but the last, so the inverse has the closed form of
+    :func:`closed_form_inverse`."""
+    keys = [(q, (c,)) for q in colors for c in colors]
+    return {**_golden_doc(colors, order, keys, values), "B": list(colors[:-1])}
+
+
 def _golden_doc(colors: str, order: int, keys: list, values) -> dict:
     # the document of (pinned color, key) pairs, the values cycling in their order
     groups: dict[int, list] = {}
@@ -65,6 +79,52 @@ def _golden_doc(colors: str, order: int, keys: list, values) -> dict:
         groups.setdefault(len(key), []).append(entry)
     kernels = [{"n": n, "entries": entries} for n, entries in sorted(groups.items())]
     return {"colors": list(colors), "order": order, "kernels": kernels}
+
+
+def size_one_matrix(doc: dict) -> dict[str, dict[str, Fraction]]:
+    """a[q][c] of a document whose kernels all have size one (zero where unset)."""
+    a = {q: {c: Fraction(0) for c in doc["colors"]} for q in doc["colors"]}
+    for group in doc["kernels"]:
+        assert group["n"] == 1, "the closed form needs kernels of size one"
+        for entry in group["entries"]:
+            a[entry["q"]][entry["x"][0]] = Fraction(entry["value"])
+    return a
+
+
+def _determinant(rows: list[list[Fraction]]) -> Fraction:
+    """Laplace expansion along the first row; one for the empty matrix."""
+    if not rows:
+        return Fraction(1)
+    return sum(
+        (-1) ** j * rows[0][j] * _determinant([row[:j] + row[j + 1 :] for row in rows[1:]])
+        for j in range(len(rows))
+    )
+
+
+def closed_form_inverse(a: dict[str, dict[str, Fraction]], subset, key: tuple) -> Fraction:
+    """The inverse of z exp(-A) on the colors ``subset`` at ``key``, for A_q =
+    sum_c a[q][c] z_c, by the Lagrange–Good formula in closed form.
+
+    With n the key's color counts and lambda_c = sum_c' n_c' a[c'][c], the
+    value is prod_c n_c! sum_{b in subset} sum_{S subset of the colors}
+    (-1)^|S| det(a_S) prod_c lambda_c^m_c / m_c!, for m = n - e_b - 1_S and
+    a_S the principal submatrix on S; terms with a negative m_c drop out.
+    """
+    colors = list(a)
+    n = {c: key.count(c) for c in colors}
+    lam = {c: sum(n[cp] * a[cp][c] for cp in colors) for c in colors}
+    total = Fraction(0)
+    for b in subset:
+        for size in range(len(colors) + 1):
+            for chosen in combinations(colors, size):
+                m = {c: n[c] - (c == b) - (c in chosen) for c in colors}
+                if min(m.values()) < 0:
+                    continue
+                term = (-1) ** size * _determinant([[a[q][c] for c in chosen] for q in chosen])
+                for c in colors:
+                    term *= lam[c] ** m[c] / factorial(m[c])
+                total += term
+    return total * prod(factorial(v) for v in n.values())
 
 
 def series_from(colors: ColorSet, order: int, table: dict) -> TruncatedSeries:

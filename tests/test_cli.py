@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 
 from lagrange_forest.cli import dump_document, main
 
-from helpers import QUERY_POOL, dense_golden_doc
+from helpers import (
+    QUERY_POOL,
+    closed_form_inverse,
+    dense_golden_doc,
+    linear_golden_doc,
+    size_one_matrix,
+)
 
 
 def write_doc(tmp_path, payload, name="problem.json"):
@@ -404,6 +410,20 @@ def test_invert_tree_stdout_is_pinned(tmp_path, capsys, colors, order, digest, r
     printed = capsys.readouterr().out
     assert len(json.loads(printed)["coefficients"]) == rows
     assert hashlib.sha256(printed.encode()).hexdigest() == digest
+
+
+def test_invert_matches_the_closed_form_for_kernels_of_size_one(tmp_path, capsys):
+    # both routes against the Lagrange–Good closed form, code that shares
+    # nothing with the package: B is every color but one, and the kernels
+    # are linear with denominators 1, 2 and 3
+    doc = linear_golden_doc("abc", 8)
+    assert main(["invert", write_doc(tmp_path, doc), "--det"]) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert result["B"] == ["a", "b"] and len(result["coefficients"]) == 164
+    a = size_one_matrix(doc)
+    for row in result["coefficients"]:
+        expected = str(closed_form_inverse(a, result["B"], tuple(row["x"])))
+        assert row["tree"] == row["det"] == expected, row["x"]
 
 
 # ---------------------------------------------------------------------------
