@@ -5,9 +5,9 @@ fixed-point equation whose solution generates weighted rooted trees, and
 lifts it to the inverse measure series. The determinant route expresses
 coefficients of any composed observable through a truncated Fredholm
 determinant det(Id - L), the signed sum over the crowns that are the cycles
-of L. One elimination computes it, and its reduction to a finite matrix
-over a color subset, in integers graded by D^|s|, D the lcm of the kernels'
-denominators; each query runs the series' exponential loop in the same
+of L. One elimination on L computes it, and its reduction to a finite
+matrix over a color subset, in integers graded by D^|s| (D an lcm of
+denominators); each query runs the series' exponential loop in such
 integers on its key's sub-multisets. The cancellation between the two
 routes can be checked exactly.
 
@@ -37,10 +37,9 @@ from .series import (
     _Monomials,
     _atom,
     _compose_table,
-    _keys,
+    _graded,
     _product,
     _recur,
-    _simplex,
     _split_table,
     all_keys,
     canonical_key,
@@ -104,41 +103,33 @@ def solve_tree_fixed_point(kernels: FamilySeries) -> TreeSolution:
     return TreeSolution(tree_factors=current, inverse=radon_lift(current))
 
 
-def _denominator(kernels: FamilySeries) -> int:  # D, the lcm of the kernels' denominators
-    return lcm(*(v.denominator for m in kernels.members.values() for v in m.table.values()))
-
-
 def _determinant(kernels: FamilySeries, labels: Sequence[str]) -> TruncatedSeries:
     """det(Id - L) for the matrix L indexed by ``labels``.
 
     Entry (q, q') of L is the atom at q of the kernel at q differentiated
     at q'; cycles of L are crowns, and the determinant is their signed sum.
-    At s an entry times D^|s| (:func:`_denominator`) is an integer; as D^|S|
-    D^|s - S| = D^|s|, elimination runs on these integers, about d^3 / 3
-    scatter products (_product) for d labels, up to the returned series. Every pivot
-    has constant term one: no pivoting, its inverse is _recur with sign -1.
+    Elimination runs on L itself, graded by D^|s| on the simplex of its
+    entries' colors (:func:`_graded`), in about d^3 / 3 scatter products
+    (_product) for d labels: below pivot k, L_ij += L_ik (1 - L_kk)^-1 L_kj,
+    and det(Id - L) = prod_k (1 - L_kk). L has no constant terms: no
+    pivoting, and each pivot inverse is _recur over all splits.
     """
-    den = _denominator(kernels)
-    support = tuple(
-        sorted({c for q in labels for key in kernels.members[q].table for c in (q, *key)})
-    )
-    _, splits, _, forward = _simplex(len(support), kernels.order)
-    keys = _keys(support, kernels.order)
-    matrix = []  # row q' holds column q' of -L: the transpose, same determinant
+    entries = []  # row q' holds column q' of L: the transpose, same determinant
     for qp in labels:
         pinned = {q: variational_derivative(kernels.members[q], (qp,)).table for q in labels}
-        atoms = [_atom(q, t, kernels.colors, kernels.order).table for q, t in pinned.items()]
-        matrix.append([[-int(a.get(s, 0) * den ** len(s)) for s in keys] for a in atoms])
+        entries += (_atom(q, t, kernels.colors, kernels.order).table for q, t in pinned.items())
+    keys, (_, splits, _, forward), den, flat = _graded(entries, kernels.order)
+    matrix = [flat[i : i + len(labels)] for i in range(0, len(flat), len(labels))]
     for k, pivot_row in enumerate(matrix):
-        pivot_row[k][0] = 1  # Id - L: no update reaches a constant term
         rows = [row for row in matrix[k + 1 :] if any(row[k])]
-        inverse = _recur([0, *pivot_row[k][1:]], splits, -1) if rows else None
+        inverse = _recur(pivot_row[k], splits) if rows else None
         columns = [j for j in range(k + 1, len(matrix)) if any(pivot_row[j])]
         for row in rows:
             factor = _product(row[k], inverse, forward)
             for j in columns:
-                row[j] = [x - y for x, y in zip(row[j], _product(factor, pivot_row[j], forward))]
-    det = reduce(lambda p, q: _product(p, q, forward), (row[k] for k, row in enumerate(matrix)))
+                row[j] = [x + y for x, y in zip(row[j], _product(factor, pivot_row[j], forward))]
+    pivots = ([(t == 0) - x for t, x in enumerate(row[k])] for k, row in enumerate(matrix))
+    det = reduce(lambda p, q: _product(p, q, forward), pivots)  # prod_k (1 - L_kk)
     table = {s: Fraction(v, den ** len(s)) for s, v in zip(keys, det) if v}
     return TruncatedSeries(kernels.colors, kernels.order, table)
 
@@ -190,10 +181,11 @@ def _box(counts: tuple[int, ...]) -> tuple[list[tuple[int, ...]], list[list], li
 def _query_tables(kernels: FamilySeries) -> tuple[int, dict, dict]:
     """D, the Fredholm determinant and the kernels in integers, once per family.
 
-    At s, det[s] D^|s| and the kernel pinned at q A_q[s] D^|s| are integers
-    (:func:`_determinant`). This is the determinant's one cache.
+    With D the lcm of the kernels' denominators, A_q[s] D^|s| and det[s] D^|s|
+    are integers: :func:`_determinant` grades by the lcm of L's denominators,
+    which divides D. This is the determinant's one cache.
     """
-    den = _denominator(kernels)
+    den = lcm(*(v.denominator for m in kernels.members.values() for v in m.table.values()))
     det, *scaled = (
         {s: int(v * den ** len(s)) for s, v in m.table.items()}
         for m in (fredholm_determinant(kernels), *kernels.members.values())

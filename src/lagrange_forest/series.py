@@ -18,14 +18,15 @@ Every kernel works on the count vectors of size <= order over the colors
 its inputs carry (_simplex, cached once per shape and read in all_keys
 order), so its cost follows the number of those colors and the order, not
 the non-zero entries. Split tables list how a point splits into two, with
-the binomial weight w of its position subsets. One scatter product,
-sum w p[a] q[b], multiplies integer vectors graded by D^|s| (D an lcm of
-denominators) for multiply, the composition's monomials and the
-determinant's elimination; the exponential runs one loop, E[key] = sum_S
-w(S) K[S] E[key - S] over the sub-multisets S of a key; and composition
-with a measure sums g_J prod_q W_q^(J_q) / J_q! over g's keys J, W being
-the atoms of the substituted measure, with one rational built per output
-key. No kernel enumerates set partitions.
+the binomial weight w of its position subsets. _graded lays rational tables
+there as integer vectors graded by D^|s| (D an lcm of denominators), which
+one scatter product, sum w p[a] q[b], multiplies for multiply, the
+composition's monomials and the determinant's elimination. One loop, E[t] =
+sum w K[a] E[b], gives exp(K) over the first-block splits and (1 - K)^-1,
+the elimination's pivot inverse, over all splits. Composition with a
+measure sums g_J prod_q W_q^(J_q) / J_q! over g's keys J, W being the atoms
+of the substituted measure, with one rational built per output key. No
+kernel enumerates set partitions.
 """
 
 from __future__ import annotations
@@ -247,13 +248,13 @@ def _keys(support: tuple[str, ...], max_size: int) -> list[Key]:
     return [tuple(c for c, m in zip(support, s) for _ in range(m)) for s in points]
 
 
-def _recur(values: Sequence, splits: list[list], sign: int = 1) -> list:
-    # out[0] = 1, out[t] = sign * sum w values[a] out[b] over point t's
-    # splits; values[0] must vanish, so the empty part's split (b = t) is
-    # never read
+def _recur(values: Sequence, splits: list[list]) -> list:
+    # out[0] = 1, out[t] = sum w values[a] out[b] over point t's splits, for
+    # values[0] = 0 (the split b = t is never read): exp(values) over the
+    # first-block splits, (1 - values)^-1 = 1 + values out over all splits
     out = [1]
     for pairs in splits[1:]:
-        out.append(sign * sum(w * values[a] * out[b] for a, b, w, _ in pairs if values[a]))
+        out.append(sum(w * values[a] * out[b] for a, b, w, _ in pairs if values[a]))
     return out
 
 
@@ -272,24 +273,33 @@ def _product(p: Sequence, q: Sequence, forward: list[list]) -> list:
     return out
 
 
+def _graded(
+    tables: Sequence[dict[Key, Fraction]], order: int, shift: int = 0
+) -> tuple[list[Key], tuple, int, list[list[int]]]:
+    # rational tables laid onto the simplex of the colors they carry: its
+    # keys and _simplex tables, D (the lcm of the tables' denominators) and
+    # each table as an integer vector, its value at s times D^(|s| + shift);
+    # a product of vectors graded by D^|s| is, as D^|S| D^|s - S| = D^|s|
+    support = tuple(sorted({c for table in tables for key in table for c in key}))
+    keys = _keys(support, order)
+    den = lcm(*(v.denominator for table in tables for v in table.values()))
+    vectors = [[int(t.get(key, 0) * den ** (len(key) + shift)) for key in keys] for t in tables]
+    return keys, _simplex(len(support), order), den, vectors
+
+
 def multiply(k: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     """Product series: each coefficient is a sum over splits of its key.
 
     The coefficient at a tuple is the sum, over all subsets J of the tuple's
     positions, of K at the J-part times G at the complement. It is computed
-    in integers on the points of the factors' colors: with D the lcm of their
-    denominators, each factor at s times D^(|s| + 1) is an integer (the
-    constant terms need the extra D), the product of two such is graded by
-    D^(|s| + 2), and each non-zero sum becomes a rational once.
+    in integers on the points of the factors' colors (:func:`_graded`): with
+    D the lcm of their denominators, each factor at s times D^(|s| + 1) is an
+    integer (the constant terms need the extra D), the product of two such is
+    graded by D^(|s| + 2), and each non-zero sum becomes a rational once.
     """
     _check_pair(k, g)
-    support = tuple(sorted({c for table in (k.table, g.table) for key in table for c in key}))
-    keys = _keys(support, k.order)
-    den = lcm(*(v.denominator for table in (k.table, g.table) for v in table.values()))
-    p, q = (
-        [int(t.get(key, 0) * den ** (len(key) + 1)) for key in keys] for t in (k.table, g.table)
-    )
-    out = _product(p, q, _simplex(len(support), k.order)[3])
+    keys, (*_, forward), den, (p, q) = _graded((k.table, g.table), k.order, shift=1)
+    out = _product(p, q, forward)
     table = {key: Fraction(v, den ** (len(key) + 2)) for key, v in zip(keys, out) if v}
     return TruncatedSeries(k.colors, k.order, table)
 
@@ -443,23 +453,20 @@ class _Monomials(dict):
 
     Each entry is an integer vector over the points of size <= ``max_size``
     of the family-order simplex on the atoms' colors, graded by D^|s| (D the
-    lcm of the atoms' denominators: a product of two graded vectors is graded
-    again). It is built on first lookup, as its prefix's vector times the
-    atom at its last color q, divided by J_q, which is exact. A table can be
-    shared by every composition with the same family and truncation.
+    lcm of the atoms' denominators, :func:`_graded`). It is built on first
+    lookup, as its prefix's vector times the atom at its last color q,
+    divided by J_q, which is exact. A table can be shared by every
+    composition with the same family and truncation.
     """
 
     def __init__(self, family: FamilySeries, max_size: int) -> None:
-        atoms = radon_lift(family).members.items()
-        support = tuple(sorted({c for _, atom in atoms for key in atom.table for c in key}))
+        atoms = radon_lift(family).members
+        keys, (points, *_, self.forward), self.den, vectors = _graded(
+            [atom.table for atom in atoms.values()], family.order
+        )
         self.max_size = max_size
-        self.keys = _keys(support, family.order)[: comb(max_size + len(support), max_size)]
-        self.forward = _simplex(len(support), family.order)[3]
-        self.den = lcm(*(v.denominator for _, atom in atoms for v in atom.table.values()))
-        self.atoms = {
-            q: [int(atom.table.get(key, 0) * self.den ** len(key)) for key in self.keys]
-            for q, atom in atoms
-        }
+        self.keys = keys[: comb(max_size + len(points[0]), max_size)]  # |s| <= max_size
+        self.atoms = dict(zip(atoms, vectors))  # read only below the truncation
         super().__init__({(): [1] + [0] * (len(self.keys) - 1)})
 
     def __missing__(self, key: Key) -> list[int]:

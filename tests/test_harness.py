@@ -132,9 +132,11 @@ def _plus_one(original):
 
 
 def _double_pivot_inverses(original):
-    def corrupted(values, splits, sign=1):
-        out = original(values, splits, sign)
-        return [2 * v for v in out] if sign < 0 else out
+    # a full split table starts every point's splits with its empty part
+    # (a = 0); a first-block table never holds that split
+    def corrupted(values, splits):
+        out = original(values, splits)
+        return [2 * v for v in out] if splits[-1][0][0] == 0 else out
 
     return corrupted
 
@@ -168,8 +170,8 @@ CORRUPTIONS = [
      ["FAIL univariate-inversion [trial=0, formula=with-derivative] at (1):"
       " expected 2, got 1"]),
     # _recur inverts the pivots of the determinant's elimination, the only
-    # call with sign -1, so doubling those inverses leaves the queries'
-    # exponentials alone. determinant-reduction cannot see the corruption,
+    # calls over a full split table, so doubling those inverses leaves the
+    # queries' exponentials alone. determinant-reduction cannot see the corruption,
     # because both of its sides run the same elimination; det-vs-crowns and
     # lagrange-good (and magic) do see it.
     ("all", lagrange_forest.inversion, "_recur", _double_pivot_inverses,

@@ -8,6 +8,7 @@ from math import factorial
 
 import pytest
 
+import lagrange_forest.series
 from lagrange_forest import (
     ColorSet,
     EmptySubset,
@@ -239,6 +240,25 @@ def test_finite_matrix_on_a_proper_subset_matches_the_full_determinant(sparse):
     for n in range(1, 4):
         for key in combinations_with_replacement(("a", "c"), n):
             assert small.coefficient(key) == fredholm_oracle(kernels, key), key
+
+
+def test_determinant_lays_out_only_the_colors_its_entries_carry(monkeypatch):
+    # eight colors, of which a and b carry the kernel entries: both
+    # determinants eliminate on the two-color simplex, not on one over the
+    # labels, which at this order would hold 735,471 splits
+    kernels = make_kernel_family(
+        ColorSet(tuple("abcdefgh")), 8, [("a", ("b",), "1/2"), ("b", ("a", "b"), "-1")]
+    )
+    sizes = []
+    simplex = lagrange_forest.series._simplex
+    monkeypatch.setattr(
+        lagrange_forest.series, "_simplex", lambda d, n: sizes.append(d) or simplex(d, n)
+    )
+    det = fredholm_determinant(kernels)
+    assert finite_matrix_determinant(kernels, "abc") == det
+    assert sizes and max(sizes) == 2
+    for key in [("a",), ("a", "b"), ("a", "b", "b"), ("a", "a", "b"), ("a", "c")]:
+        assert det.coefficient(key) == fredholm_oracle(kernels, key), key
 
 
 def test_finite_matrix_trivial_cases():

@@ -589,15 +589,16 @@ def test_exponential_matches_partition_oracle(d, order):
 def assert_pivot_inverse_is_exact(p: TruncatedSeries) -> None:
     # the determinant's pivot inverse: p (constant term one) at the simplex
     # points of its colors times D^|s|, D the lcm of its denominators, is
-    # integral, and so is its inverse, _recur with sign -1; their product by
-    # the forward splits is the unit vector, and multiply agrees on the series
+    # integral, and so is its inverse; p = 1 - v, and the inverse is _recur
+    # of v over all splits; their product by the forward splits is the unit
+    # vector, and multiply agrees on the series
     _, splits, _, forward = _simplex(p.colors.d, p.order)
     keys = list(all_keys(p.colors, p.order))  # the simplex's points, in its order
     den = lcm(*(v.denominator for v in p.table.values()))
     graded = [p.table.get(key, 0) * den ** len(key) for key in keys]
     assert graded[0] == 1 and all(v.denominator == 1 for v in graded)
     values = [int(v) for v in graded]
-    inverse = _recur([0, *values[1:]], splits, -1)
+    inverse = _recur([0, *(-v for v in values[1:])], splits)
     assert all(type(v) is int for v in inverse)
     assert _product(values, inverse, forward) == [1] + [0] * (len(keys) - 1)
     table = {key: Fraction(v, den ** len(key)) for key, v in zip(keys, inverse) if v}
