@@ -91,12 +91,12 @@ def size_one_matrix(doc: dict) -> dict[str, dict[str, Fraction]]:
     return a
 
 
-def _determinant(rows: list[list[Fraction]]) -> Fraction:
+def _laplace_determinant(rows: list[list[Fraction]]) -> Fraction:
     """Laplace expansion along the first row; one for the empty matrix."""
     if not rows:
         return Fraction(1)
     return sum(
-        (-1) ** j * rows[0][j] * _determinant([row[:j] + row[j + 1 :] for row in rows[1:]])
+        (-1) ** j * rows[0][j] * _laplace_determinant([row[:j] + row[j + 1 :] for row in rows[1:]])
         for j in range(len(rows))
     )
 
@@ -120,7 +120,8 @@ def closed_form_inverse(a: dict[str, dict[str, Fraction]], subset, key: tuple) -
                 m = {c: n[c] - (c == b) - (c in chosen) for c in colors}
                 if min(m.values()) < 0:
                     continue
-                term = (-1) ** size * _determinant([[a[q][c] for c in chosen] for q in chosen])
+                minor = _laplace_determinant([[a[q][c] for c in chosen] for q in chosen])
+                term = (-1) ** size * minor
                 for c in colors:
                     term *= lam[c] ** m[c] / factorial(m[c])
                 total += term
