@@ -251,7 +251,7 @@ def _keys(support: tuple[str, ...], max_size: int) -> list[Key]:
 def _recur(values: Sequence, splits: list[list]) -> list:
     # out[0] = 1, out[t] = sum w values[a] out[b] over point t's splits, for
     # values[0] = 0 (the split b = t is never read): exp(values) over the
-    # first-block splits, (1 - values)^-1 = 1 + values out over all splits
+    # first-block splits, and (1 - values)^-1 (out = 1 + values out) over all
     out = [1]
     for pairs in splits[1:]:
         out.append(sum(w * values[a] * out[b] for a, b, w, _ in pairs if values[a]))
@@ -279,7 +279,7 @@ def _graded(
     # rational tables laid onto the simplex of the colors they carry: its
     # keys and _simplex tables, D (the lcm of the tables' denominators) and
     # each table as an integer vector, its value at s times D^(|s| + shift);
-    # a product of vectors graded by D^|s| is, as D^|S| D^|s - S| = D^|s|
+    # a product of two vectors graded by D^|s| is too, as D^|S| D^|s-S| = D^|s|
     support = tuple(sorted({c for table in tables for key in table for c in key}))
     keys = _keys(support, order)
     den = lcm(*(v.denominator for table in tables for v in table.values()))
