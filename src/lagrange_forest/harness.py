@@ -149,7 +149,7 @@ def _suite_species(cfg: SuiteConfig, kernels: FamilySeries) -> list[IdentityRepo
 def _exp_cases(q_tuples: list[tuple[str, ...]], kernels: FamilySeries):
     for q_tuple in q_tuples:
         n = len(q_tuple)
-        keys, numerators, den = _box_exponential(kernels, canonical_key(q_tuple))
+        keys, _, numerators, den = _box_exponential(kernels, canonical_key(q_tuple))
         exp_at = {s: Fraction(v, den ** len(s)) for s, v in zip(keys, numerators)}
         for size in range(n + 1):
             for picked in combinations(range(1, n + 1), size):

@@ -134,15 +134,16 @@ def _determinant(kernels: FamilySeries, labels: Sequence[str]) -> TruncatedSerie
     return TruncatedSeries(kernels.colors, kernels.order, table)
 
 
+@lru_cache(maxsize=4)
 def fredholm_determinant(kernels: FamilySeries) -> TruncatedSeries:
     """Truncated Fredholm determinant of the derivative-kernel operator.
 
     Over a finite color set this is det(Id - L) for the derivative-kernel
     matrix L indexed by all colors. Its coefficient at a key is the signed
     sum over assemblies of crowns on the key's positions, each assembly
-    signed by its number of crowns. The constant term is one. Each call
-    runs the elimination of :func:`_determinant`; the queries keep the
-    result once per family, graded in integers (:func:`_query_tables`).
+    signed by its number of crowns. The constant term is one. It is cached
+    on the family's identity, so :func:`_determinant` eliminates once per
+    family for the queries' integer tables and the suites of a trial alike.
     """
     return _determinant(kernels, kernels.colors.names)
 
@@ -183,7 +184,7 @@ def _query_tables(kernels: FamilySeries) -> tuple[int, dict, dict]:
 
     With D the lcm of the kernels' denominators, A_q[s] D^|s| and det[s] D^|s|
     are integers: :func:`_determinant` grades by the lcm of L's denominators,
-    which divides D. This is the determinant's one cache.
+    which divides D. det is read through :func:`fredholm_determinant`'s cache.
     """
     den = lcm(*(v.denominator for m in kernels.members.values() for v in m.table.values()))
     det, *scaled = (
@@ -193,20 +194,20 @@ def _query_tables(kernels: FamilySeries) -> tuple[int, dict, dict]:
     return den, det, dict(zip(kernels.members, scaled))
 
 
-def _box_exponential(kernels: FamilySeries, key: Key) -> tuple[list[Key], list[int], int]:
+def _box_exponential(kernels: FamilySeries, key: Key) -> tuple[list[Key], list, list[int], int]:
     """exp of the sum of the kernels pinned at the colors of ``key``, on its box.
 
     The first-block recurrence runs over the key's prod_c (n_c + 1)
-    sub-multisets alone. Returns them in box order, the coefficients there
-    times D^|s| (integers), and D (see :func:`_query_tables`).
+    sub-multisets alone. Returns them in box order, their splits, the
+    coefficients there times D^|s| (integers), and D (see :func:`_query_tables`).
     """
     colors = sorted(set(key), key=lambda c: (-key.count(c), c))
     counts = tuple(map(key.count, colors))
-    points, _, first_splits = _box(counts)
+    points, splits, first_splits = _box(counts)
     keys = [canonical_key(c for c, m in zip(colors, s) for _ in range(m)) for s in points]
     den, _, scaled = _query_tables(kernels)
     summed = [sum(n * scaled[c].get(s, 0) for c, n in zip(colors, counts)) for s in keys]
-    return keys, _recur(summed, first_splits), den
+    return keys, splits, _recur(summed, first_splits), den
 
 
 def _query(kernels: FamilySeries, key: Key, phi: TruncatedSeries) -> Fraction:
@@ -216,8 +217,7 @@ def _query(kernels: FamilySeries, key: Key, phi: TruncatedSeries) -> Fraction:
     sum of the other two factors, each graded by D^|s|, over D^|key| and
     phi's own denominator.
     """
-    keys, exp, den = _box_exponential(kernels, key)
-    _, splits, _ = _box(tuple(sorted(map(key.count, set(key)), reverse=True)))
+    keys, splits, exp, den = _box_exponential(kernels, key)
     _, det, _ = _query_tables(kernels)
     det = [det.get(s, 0) for s in keys]
     phi_den = lcm(*(phi.table.get(s, 0).denominator for s in keys))

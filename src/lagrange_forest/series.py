@@ -173,7 +173,7 @@ def indicator_series(
     return TruncatedSeries(colors, order, {(c,): Fraction(1) for c in labels})
 
 
-def _check_pair(k: TruncatedSeries, g: TruncatedSeries) -> None:
+def _check_pair(k: TruncatedSeries | FamilySeries, g: TruncatedSeries | FamilySeries) -> None:
     if k.colors != g.colors:
         raise ColorSetMismatch(f"{k.colors.names} vs {g.colors.names}")
     if k.order != g.order:
@@ -283,7 +283,8 @@ def _graded(
     support = tuple(sorted({c for table in tables for key in table for c in key}))
     keys = _keys(support, order)
     den = lcm(*(v.denominator for table in tables for v in table.values()))
-    vectors = [[int(t.get(key, 0) * den ** (len(key) + shift)) for key in keys] for t in tables]
+    powers = [den ** (n + shift) for n in range(order + 1)]
+    vectors = [[int(t.get(key, 0) * powers[len(key)]) for key in keys] for t in tables]
     return keys, _simplex(len(support), order), den, vectors
 
 
@@ -441,13 +442,6 @@ def radon_lift(family: FamilySeries) -> FamilySeries:
     return FamilySeries(colors, order, members)
 
 
-def _check_family(g: TruncatedSeries | FamilySeries, family: FamilySeries) -> None:
-    if g.colors != family.colors:
-        raise ColorSetMismatch("series and family over different color sets")
-    if g.order != family.order:
-        raise OrderMismatch("series and family with different orders")
-
-
 class _Monomials(dict):
     """Products prod_q W_q^(J_q) / J_q! by key J, for W the radon lift of a family.
 
@@ -512,7 +506,7 @@ def compose_family(g: TruncatedSeries, family: FamilySeries) -> TruncatedSeries:
     radon lift of the family, this is sum_J g_J prod_q W_q^(J_q) / J_q!, and
     each monomial costs one product along the prefixes of its key.
     """
-    _check_family(g, family)
+    _check_pair(g, family)
     table = _compose_table(g, _Monomials(family, g.order))
     return TruncatedSeries(g.colors, g.order, table)
 
@@ -525,7 +519,7 @@ def compose_measure(density: FamilySeries, family: FamilySeries) -> FamilySeries
     with K) times F_q, exact up to the order. The compositions share one
     table of F's monomials, as the tree fixed point does.
     """
-    _check_family(density, family)
+    _check_pair(density, family)
     colors, order = density.colors, density.order
     monomials = _Monomials(family, order)  # shared by every color
     members = {
@@ -550,27 +544,20 @@ def make_kernel_family(
     """Build a kernel family from (pinned color, key tuple, value) triples.
 
     The result is a :class:`FamilySeries` whose member at q is the kernel
-    pinned at q, a series over keys of size 1..order. Size-zero keys are
-    forbidden: the constant coefficient of every pinned series vanishes by
-    construction.
+    pinned at q, a series over keys of size 1..order built by
+    :func:`make_series` from the entries pinned at q, which checks their keys
+    and values as for any series. Size-zero keys are forbidden: the constant
+    coefficient of every pinned series vanishes by construction.
     """
     if order < 1:
         raise ValueError("a kernel family needs order >= 1")
-    tables: dict[str, dict[Key, Fraction]] = {name: {} for name in colors.names}
+    grouped: dict[str, list] = {name: [] for name in colors.names}
     for q, raw_key, raw_value in entries:
         colors.require((q,))
-        colors.require(raw_key)
         if len(raw_key) == 0:
             raise NonzeroConstantTerm(
                 "kernel families have no constant coefficients; size-0 keys are forbidden"
             )
-        if len(raw_key) > order:
-            raise KeyTooLarge(f"key {tuple(raw_key)} exceeds order {order}")
-        key = canonical_key(raw_key)
-        if key in tables[q]:
-            raise DuplicateKey(f"duplicate kernel key {key} for color {q!r}")
-        value = Fraction(raw_value)
-        if value:
-            tables[q][key] = value
-    members = {q: TruncatedSeries(colors, order, table) for q, table in tables.items()}
+        grouped[q].append((raw_key, raw_value))
+    members = {q: make_series(colors, order, pairs) for q, pairs in grouped.items()}
     return FamilySeries(colors, order, members)

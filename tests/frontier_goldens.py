@@ -15,11 +15,12 @@ whose denominators are 1, 2, 3, 5 and 7. The ``closed-form`` cases
 (``helpers.linear_golden_doc``: kernels of size one, B every color but the
 last) compare the ``tree`` and ``det`` column of every row with
 ``helpers.closed_form_inverse``, which shares no code with the package. One
-line per case gives the verdict and the wall seconds of the run. The exit
-code is 0 when every case passes and 1 otherwise. The outputs run to tens
-of kilobytes, so only their digests are kept; a mismatch is located with
-the pinned tier-1 tests or by diffing the output against an earlier
-checkout.
+line per case gives the verdict and the wall seconds of the run. A case that
+runs longer than ``CASE_SECONDS`` is stopped and fails, as does one that
+raises, and the script goes on with the next one. The exit code is 0 when
+every case passes and 1 otherwise. The outputs run to tens of kilobytes, so
+only their digests are kept; a mismatch is located with the pinned tier-1
+tests or by diffing the output against an earlier checkout.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import contextlib
 import hashlib
 import io
 import json
+import signal
 import sys
 import tempfile
 import time
@@ -48,6 +50,9 @@ from helpers import (  # noqa: E402  (tests/ is the script's own directory)
 )
 
 from lagrange_forest import cli  # noqa: E402
+
+#: wall seconds one case may run, about three times the slowest case's time
+CASE_SECONDS = 60
 
 #: (document builder, colors, order, extra argv, values, sha256 of stdout, or
 #: None to check every row against the closed form)
@@ -101,17 +106,36 @@ def run_case(
     return code, "", seconds
 
 
+class CaseTimeout(Exception):
+    """A case ran past ``CASE_SECONDS``."""
+
+
+def _time_out(signum, frame):
+    raise CaseTimeout(f"stopped at the {CASE_SECONDS} s limit")
+
+
 def main() -> int:
     failures = 0
+    signal.signal(signal.SIGALRM, _time_out)
     with tempfile.TemporaryDirectory() as tmp:
         for build, colors, order, extra, values, digest in CASES:
-            code, wrong, seconds = run_case(Path(tmp), build, colors, order, extra, values, digest)
+            signal.alarm(CASE_SECONDS)
+            start = time.perf_counter()
+            try:
+                code, wrong, seconds = run_case(
+                    Path(tmp), build, colors, order, extra, values, digest
+                )
+            except Exception as exc:  # a case that runs out or raises fails alone
+                code, wrong = None, f"{type(exc).__name__}: {exc}"
+                seconds = time.perf_counter() - start
+            finally:
+                signal.alarm(0)
             ok = code == 0 and not wrong
             failures += not ok
             label = " ".join(("invert", *extra, f"d={len(colors)}", f"N={order}"))
             label += " query" * (values is QUERY_POOL) + " cyclic" * (build is cyclic_golden_doc)
             label += " closed-form" * (digest is None)
-            detail = "" if ok else f" (exit {code}, {wrong})"
+            detail = "" if ok else f" ({wrong})" if code is None else f" (exit {code}, {wrong})"
             print(f"{'PASS' if ok else 'FAIL'} {label}: {seconds:.2f} s{detail}", flush=True)
     return 1 if failures else 0
 

@@ -9,6 +9,7 @@ import lagrange_forest
 from lagrange_forest import (
     enumerate_crowns,
     enumerate_enriched_maps,
+    inversion,
     solve_tree_fixed_point,
 )
 from lagrange_forest.combinat import (
@@ -45,12 +46,24 @@ def test_invert_det_computes_one_determinant(tmp_path):
     assert info.hits == 2 * keys - 1
 
 
-def test_verify_trial_computes_one_determinant():
+def test_verify_trial_computes_one_determinant(monkeypatch):
     # every suite of a trial receives the same family, so the three suites
-    # that query the determinant route share one entry of the integer tables
+    # that query the determinant route share one entry of the integer tables,
+    # and they, species-oracles and determinant-reduction share one
+    # elimination over all colors; the reduction's subset is eliminated apart
+    eliminated = []
+    original = inversion._determinant
+
+    def counted(kernels, labels):
+        eliminated.append(tuple(labels) == kernels.colors.names)
+        return original(kernels, labels)
+
+    monkeypatch.setattr(inversion, "_determinant", counted)
     _query_tables.cache_clear()
     run_suite("all", SuiteConfig(seed=3, colors=2, order=4, trials=2))
     assert _query_tables.cache_info().misses == 2
+    assert eliminated.count(True) == 2  # one per trial
+    assert eliminated.count(False) == 2
 
 
 def test_verify_trial_solves_the_trial_family_once():
@@ -77,6 +90,7 @@ def test_every_cache_is_bounded():
         "combinat._tree_sum",
         "combinat._map_sum",
         "inversion.solve_tree_fixed_point",
+        "inversion.fredholm_determinant",
         "inversion._box",
         "inversion._query_tables",
         "series._simplex",

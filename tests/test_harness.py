@@ -229,10 +229,10 @@ def test_verify_checks_the_query_at_size_n(monkeypatch, capsys):
     original = lagrange_forest.inversion._box_exponential
 
     def corrupted(kernels, key):
-        keys, numerators, den = original(kernels, key)
+        keys, splits, numerators, den = original(kernels, key)
         if len(key) == 5:  # the key itself is the box's last entry
             numerators = numerators[:-1] + [numerators[-1] + den**5]
-        return keys, numerators, den
+        return keys, splits, numerators, den
 
     monkeypatch.setattr(lagrange_forest.inversion, "_box_exponential", corrupted)
     assert main(["verify", "all", "--d", "2", "--N", "5", "--trials", "1"]) == 1

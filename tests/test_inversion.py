@@ -490,7 +490,7 @@ def test_query_exponential_lives_on_the_down_set(d, order, sparse):
             tuple(sorted(sub)) for r in range(len(key) + 1) for sub in combinations(key, r)
         }
         summed = reduce(add, (kernels.members[q] for q in key))
-        keys, numerators, den = _box_exponential(kernels, key)
+        keys, _, numerators, den = _box_exponential(kernels, key)
         assert len(keys) == len(down_set) and set(keys) == down_set, key
         pinned = {s: Fraction(v, den ** len(s)) for s, v in zip(keys, numerators)}
         restricted = series_from(

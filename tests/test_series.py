@@ -395,6 +395,18 @@ def test_compose_family_pure_second_order():
     assert composed.coefficient(("a", "a")) == 0
 
 
+def test_compositions_reject_operands_of_other_colors_or_order():
+    family = FamilySeries.constant(AB, 3, 1)
+    with pytest.raises(ColorSetMismatch):
+        compose_family(zero_series(A, 3), family)
+    with pytest.raises(OrderMismatch):
+        compose_family(zero_series(AB, 2), family)
+    with pytest.raises(ColorSetMismatch):
+        compose_measure(FamilySeries.constant(A, 3, 1), family)
+    with pytest.raises(OrderMismatch):
+        compose_measure(FamilySeries.constant(AB, 2, 1), family)
+
+
 def test_compose_measure_with_unit_density_returns_substituted_measure():
     cfg = SuiteConfig(seed=4, colors=2, order=3, trials=1)
     fam = FamilySeries(
@@ -465,6 +477,8 @@ def test_kernel_family_constructor_invariants():
         make_kernel_family(AB, 2, [("a", ("a", "b"), 1), ("a", ("b", "a"), 2)])
     with pytest.raises(UnknownColor):
         make_kernel_family(AB, 2, [("c", ("a",), 1)])
+    with pytest.raises(UnknownColor):
+        make_kernel_family(AB, 2, [("a", ("a", "c"), 1)])
     with pytest.raises(KeyTooLarge):
         make_kernel_family(AB, 2, [("a", ("a",) * 3, 1)])
     with pytest.raises(ValueError):
