@@ -1,12 +1,15 @@
-"""Randomized identity suites with deterministic seeds and witness reporting.
+"""Randomized identity suites, the identity checks and their reports.
 
-Every suite draws kernel and observable coefficients from a small rational
-pool and turns each identity into a stream of ``(location, expected, got)``
-cases over a deterministic grid of pinned tuples, which
-:func:`~lagrange_forest.reports.first_mismatch` reduces to one
-:class:`IdentityReport`: PASS with the number of checks, or FAIL at the
-first offending case in size-then-lex order. :func:`run_suite` stamps each
-report with its trial.
+An identity check is a stream of cases ``(location, expected, got)``, each
+optionally followed by a dict of the case's parameters. :func:`first_mismatch`
+reduces it to one :class:`IdentityReport`: PASS with the number of checks, or
+FAIL at the first case whose sides differ, which is its witness. Each suite
+draws kernel and observable coefficients from a small rational pool and
+streams its cases over a deterministic grid of pinned tuples, size then lex.
+Besides the two routes against each other and against the enumeration
+oracles, the checks are the round trip of the forward and inverse series and
+the classical single-variable inversion against a reference of its own.
+:func:`run_suite` stamps each report with its trial.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import string
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from math import factorial
 from typing import Callable, Iterable, Sequence
 
 from . import combinat
@@ -23,14 +27,12 @@ from .errors import UnknownSuite
 from .inversion import (
     _box_exponential,
     finite_matrix_determinant,
+    forward_density,
     fredholm_determinant,
     lagrange_good_coefficient,
     magic_sum,
-    round_trip_check,
     solve_tree_fixed_point,
-    univariate_lagrange_check,
 )
-from .reports import IdentityReport, first_mismatch
 from .series import (
     ColorSet,
     FamilySeries,
@@ -38,9 +40,64 @@ from .series import (
     all_keys,
     canonical_key,
     compose_family,
+    compose_measure,
     make_kernel_family,
     make_series,
 )
+
+
+@dataclass(frozen=True)
+class Witness:
+    """First failing coefficient of an identity check."""
+
+    location: tuple[str, ...]
+    expected: str
+    got: str
+
+
+@dataclass(frozen=True)
+class IdentityReport:
+    identity: str
+    params: tuple[tuple[str, str], ...]
+    witness: Witness | None = None
+
+    @property
+    def passed(self) -> bool:
+        return self.witness is None
+
+    def describe(self) -> str:
+        params = ", ".join(f"{k}={v}" for k, v in self.params)
+        status = "PASS" if self.passed else "FAIL"
+        head = f"{status} {self.identity}" + (f" [{params}]" if params else "")
+        if self.witness is None:
+            return head
+        w = self.witness
+        return (
+            f"{head} at {'(' + ', '.join(w.location) + ')'}: "
+            f"expected {w.expected}, got {w.got}"
+        )
+
+
+def first_mismatch(
+    identity: str, cases: Iterable[tuple], **params: object
+) -> IdentityReport:
+    """Check ``(location, expected, got[, case_params])`` cases in order.
+
+    Stops at the first case whose sides differ and reports it, with
+    ``params`` followed by that case's own parameters. Otherwise passes
+    with ``checks`` (the number of cases) followed by ``params``.
+    """
+    checks = 0
+    for location, expected, got, *case_params in cases:
+        if expected != got:
+            params = {**params, **dict(*case_params)}
+            witness = Witness(tuple(location), str(expected), str(got))
+            break
+        checks += 1
+    else:
+        params, witness = {"checks": checks, **params}, None
+    return IdentityReport(identity, tuple((k, str(v)) for k, v in params.items()), witness)
+
 
 #: The rationals every random coefficient is drawn from.
 POOL = (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(-1))
@@ -123,6 +180,27 @@ def _suite_lagrange_good(cfg: SuiteConfig, kernels: FamilySeries) -> list[Identi
 def _suite_magic(cfg: SuiteConfig, kernels: FamilySeries) -> list[IdentityReport]:
     cases = ((q, 0, magic_sum(kernels, q)) for q in _pinned_tuples(cfg))
     return [first_mismatch("magic", cases)]
+
+
+def round_trip_check(kernels: FamilySeries) -> IdentityReport:
+    """Both compositions of the forward and inverse series must be the identity.
+
+    Each composition of the densities exp(-A) and T (the tree factors) must
+    be one at the empty key and zero at every other key up to the order.
+    """
+    tree_factors = solve_tree_fixed_point(kernels).tree_factors
+    forward = forward_density(kernels)
+    sides = (
+        ("forward-after-inverse", compose_measure(forward, tree_factors)),
+        ("inverse-after-forward", compose_measure(tree_factors, forward)),
+    )
+    cases = (
+        ((q, *key), int(not key), composed.value(q, key), {"side": side})
+        for side, composed in sides
+        for q in kernels.colors.sorted_names
+        for key in all_keys(kernels.colors, kernels.order)
+    )
+    return first_mismatch("round-trip", cases)
 
 
 def _suite_round_trip(cfg: SuiteConfig, kernels: FamilySeries) -> list[IdentityReport]:
@@ -219,12 +297,137 @@ def _suite_determinant_reduction(
     return [first_mismatch("determinant-reduction", cases, subset=subset)]
 
 
+# ---------------------------------------------------------------------------
+# classical single-variable inversion
+#
+# Plain univariate arithmetic in the monomial convention, kept separate from
+# the colored machinery on purpose: the three-way check below compares the
+# colored tree route against two contour-integral style formulas evaluated
+# with this independent code.
+
+
+def _u_mul(a: Sequence[Fraction], b: Sequence[Fraction], order: int) -> list[Fraction]:
+    out = [Fraction(0)] * (order + 1)
+    for i, ai in enumerate(a[: order + 1]):
+        if not ai:
+            continue
+        for j, bj in enumerate(b[: order + 1 - i]):
+            out[i + j] += ai * bj
+    return out
+
+
+def _u_deriv(a: Sequence[Fraction]) -> list[Fraction]:
+    return [Fraction(k) * a[k] for k in range(1, len(a))] or [Fraction(0)]
+
+
+def _u_exp(a: Sequence[Fraction], order: int) -> list[Fraction]:
+    if a[0]:
+        raise ValueError("exponential needs a vanishing constant term")
+    out = [Fraction(0)] * (order + 1)
+    out[0] = Fraction(1)
+    for n in range(1, order + 1):
+        acc = Fraction(0)
+        for k in range(1, n + 1):
+            ak = a[k] if k < len(a) else Fraction(0)
+            acc += k * ak * out[n - k]
+        out[n] = acc / n
+    return out
+
+
+UNIVARIATE_COLOR = "x"
+
+
+def univariate_kernels(kernel_coeffs: Sequence) -> FamilySeries:
+    """Single-color kernel family with values taken from a coefficient list.
+
+    ``kernel_coeffs[i]`` is the size-(i+1) kernel coefficient in the
+    exponential convention.
+    """
+    colors = ColorSet((UNIVARIATE_COLOR,))
+    order = len(kernel_coeffs)
+    entries = [
+        (UNIVARIATE_COLOR, (UNIVARIATE_COLOR,) * (i + 1), value)
+        for i, value in enumerate(kernel_coeffs)
+    ]
+    return make_kernel_family(colors, order, entries)
+
+
+def univariate_lagrange_check(
+    kernel_coeffs: Sequence, outer_coeffs: Sequence, order: int
+) -> IdentityReport:
+    """Three-way check of classical Lagrange inversion for one variable.
+
+    The coefficient of the composed observable in the inverse variable is
+    computed (a) through the colored tree solution, (b) as the order-n
+    monomial coefficient of f(z) rho'(z) / (rho(z)/z)**(n+1), and (c) as
+    1/n times the order-(n-1) coefficient of f'(z) / (rho(z)/z)**n, where
+    rho(z) = z exp(-A(z)). All three must agree exactly for n = 1..order:
+    each n gives one case per formula, (b) then (c), expected (a).
+
+    ``kernel_coeffs`` and ``outer_coeffs`` use the exponential convention
+    (entry m is m! times the monomial coefficient); ``outer_coeffs`` starts
+    at the constant term.
+    """
+    if order < 1:
+        raise ValueError("the check order must be at least one")
+    kernel_coeffs = [Fraction(v) for v in kernel_coeffs]
+    outer_coeffs = [Fraction(v) for v in outer_coeffs]
+    # kernel sizes above the check order cannot influence checked coefficients
+    kernel_padded = (
+        kernel_coeffs + [Fraction(0)] * max(0, order - len(kernel_coeffs))
+    )[:order]
+    kernels = univariate_kernels(kernel_padded)
+    colors = kernels.colors
+    x = UNIVARIATE_COLOR
+
+    phi = make_series(
+        colors,
+        order,
+        [((x,) * m, outer_coeffs[m]) for m in range(min(len(outer_coeffs), order + 1))],
+    )
+    solution = solve_tree_fixed_point(kernels)
+    composed = compose_family(phi, solution.tree_factors)
+
+    # independent monomial-side data
+    a_mono = [Fraction(0)] * (order + 2)
+    for m, value in enumerate(kernel_padded, start=1):
+        if m <= order + 1:
+            a_mono[m] = value / factorial(m)
+    f_mono = [Fraction(0)] * (order + 1)
+    for m, value in enumerate(outer_coeffs):
+        if m <= order:
+            f_mono[m] = value / factorial(m)
+    base = _u_exp([-v for v in a_mono], order + 1)  # rho(z)/z
+    rho = [Fraction(0)] + base[: order + 1]
+    rho_prime = _u_deriv(rho)
+    f_prime = _u_deriv(f_mono)
+
+    def cases():
+        # (z/rho)^k = exp(kA), as rho = z exp(-A)
+        for n in range(1, order + 1):
+            via_trees = composed.coefficient((x,) * n) / factorial(n)
+            with_derivative = _u_mul(
+                _u_mul(f_mono, rho_prime, n), _u_exp([(n + 1) * v for v in a_mono], n), n
+            )[n]
+            yield (str(n),), via_trees, with_derivative, {"formula": "with-derivative"}
+            without_derivative = (
+                _u_mul(f_prime, _u_exp([n * v for v in a_mono], n - 1), n - 1)[n - 1] / n
+            )
+            yield (str(n),), via_trees, without_derivative, {"formula": "without-derivative"}
+
+    return first_mismatch("univariate-inversion", cases())
+
+
 def _suite_univariate(cfg: SuiteConfig, kernels: FamilySeries) -> list[IdentityReport]:
     # draws its own one-color kernel; the trial's family is not used
     rng = random.Random(f"univariate:{cfg.seed}")
     kernel_coeffs = [rng.choice(POOL) for _ in range(cfg.order)]
     outer_coeffs = [rng.choice(POOL) for _ in range(cfg.order + 1)]
     return [univariate_lagrange_check(kernel_coeffs, outer_coeffs, cfg.order)]
+
+
+# ---------------------------------------------------------------------------
+# running the suites
 
 
 _SUITES: dict[str, Callable[[SuiteConfig, FamilySeries], list[IdentityReport]]] = {

@@ -1,15 +1,16 @@
 """Inversion of colored power series of the form z times exp(-A).
 
-Two independent routes to the inverse live here. The tree route solves the
-fixed-point equation whose solution generates weighted rooted trees, and
-lifts it to the inverse measure series. The determinant route expresses
-coefficients of any composed observable through a truncated Fredholm
-determinant det(Id - L), the signed sum over the crowns that are the cycles
-of L. One elimination on L computes it, and its reduction to a finite
-matrix over a color subset, in integers graded by D^|s| (D an lcm of
-denominators); each query runs the series' exponential loop in such
-integers on its key's sub-multisets. The cancellation between the two
-routes can be checked exactly.
+The forward measure's density exp(-A) and two independent routes to the
+inverse live here. The tree route solves the fixed-point equation whose
+solution generates weighted rooted trees, and lifts it to the inverse
+measure series. The determinant route expresses coefficients of any
+composed observable through a truncated Fredholm determinant det(Id - L),
+the signed sum over the crowns that are the cycles of L. One elimination
+on L computes it, and its reduction to a finite matrix over a color
+subset, in integers graded by D^|s| (D an lcm of denominators); each query
+runs the series' exponential loop in such integers on its key's
+sub-multisets. The cancellation sum between the two routes is exact; the
+checks that compare the routes live in :mod:`~lagrange_forest.harness`.
 
 Every function takes the kernel family itself, a
 :class:`~lagrange_forest.series.FamilySeries` whose member at q is the
@@ -24,13 +25,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import product
-from math import factorial, lcm
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import ColorSetMismatch, EmptySubset, KeyTooLarge, OrderMismatch
-from .reports import IdentityReport, first_mismatch
 from .series import (
-    ColorSet,
     FamilySeries,
     Key,
     TruncatedSeries,
@@ -41,15 +40,10 @@ from .series import (
     _product,
     _recur,
     _split_table,
-    all_keys,
     canonical_key,
-    compose_family,
-    compose_measure,
     constant_series,
     exponential,
     indicator_series,
-    make_kernel_family,
-    make_series,
     radon_lift,
     scale,
     variational_derivative,
@@ -275,167 +269,3 @@ def inverse_via_determinant(
     """Coefficient of the inverse measure on a color subset, determinant route."""
     phi = indicator_series(kernels.colors, kernels.order, subset)
     return lagrange_good_coefficient(kernels, phi, q_tuple)
-
-
-def round_trip_check(kernels: FamilySeries) -> IdentityReport:
-    """Both compositions of the forward and inverse series must be the identity.
-
-    Each composition of the densities exp(-A) and T (the tree factors) must
-    be one at the empty key and zero at every other key up to the order.
-    """
-    tree_factors = solve_tree_fixed_point(kernels).tree_factors
-    forward = forward_density(kernels)
-    sides = (
-        ("forward-after-inverse", compose_measure(forward, tree_factors)),
-        ("inverse-after-forward", compose_measure(tree_factors, forward)),
-    )
-    cases = (
-        ((q, *key), int(not key), composed.value(q, key), {"side": side})
-        for side, composed in sides
-        for q in kernels.colors.sorted_names
-        for key in all_keys(kernels.colors, kernels.order)
-    )
-    return first_mismatch("round-trip", cases)
-
-
-# ---------------------------------------------------------------------------
-# classical single-variable inversion
-#
-# Plain univariate arithmetic in the monomial convention, kept separate from
-# the colored machinery on purpose: the three-way check below compares the
-# colored tree route against two contour-integral style formulas evaluated
-# with this independent code.
-
-
-def _u_mul(a: Sequence[Fraction], b: Sequence[Fraction], order: int) -> list[Fraction]:
-    out = [Fraction(0)] * (order + 1)
-    for i, ai in enumerate(a[: order + 1]):
-        if not ai:
-            continue
-        for j, bj in enumerate(b[: order + 1 - i]):
-            out[i + j] += ai * bj
-    return out
-
-
-def _u_deriv(a: Sequence[Fraction]) -> list[Fraction]:
-    return [Fraction(k) * a[k] for k in range(1, len(a))] or [Fraction(0)]
-
-
-def _u_exp(a: Sequence[Fraction], order: int) -> list[Fraction]:
-    if a[0]:
-        raise ValueError("exponential needs a vanishing constant term")
-    out = [Fraction(0)] * (order + 1)
-    out[0] = Fraction(1)
-    for n in range(1, order + 1):
-        acc = Fraction(0)
-        for k in range(1, n + 1):
-            ak = a[k] if k < len(a) else Fraction(0)
-            acc += k * ak * out[n - k]
-        out[n] = acc / n
-    return out
-
-
-def _u_recip(a: Sequence[Fraction], order: int) -> list[Fraction]:
-    if not a[0]:
-        raise ValueError("reciprocal needs a non-zero constant term")
-    out = [Fraction(0)] * (order + 1)
-    out[0] = 1 / a[0]
-    for n in range(1, order + 1):
-        acc = Fraction(0)
-        for k in range(1, n + 1):
-            ak = a[k] if k < len(a) else Fraction(0)
-            acc += ak * out[n - k]
-        out[n] = -acc / a[0]
-    return out
-
-
-def _u_pow(a: Sequence[Fraction], exponent: int, order: int) -> list[Fraction]:
-    out = [Fraction(0)] * (order + 1)
-    out[0] = Fraction(1)
-    for _ in range(exponent):
-        out = _u_mul(out, a, order)
-    return out
-
-
-UNIVARIATE_COLOR = "x"
-
-
-def univariate_kernels(kernel_coeffs: Sequence) -> FamilySeries:
-    """Single-color kernel family with values taken from a coefficient list.
-
-    ``kernel_coeffs[i]`` is the size-(i+1) kernel coefficient in the
-    exponential convention.
-    """
-    colors = ColorSet((UNIVARIATE_COLOR,))
-    order = len(kernel_coeffs)
-    entries = [
-        (UNIVARIATE_COLOR, (UNIVARIATE_COLOR,) * (i + 1), value)
-        for i, value in enumerate(kernel_coeffs)
-    ]
-    return make_kernel_family(colors, order, entries)
-
-
-def univariate_lagrange_check(
-    kernel_coeffs: Sequence, outer_coeffs: Sequence, order: int
-) -> IdentityReport:
-    """Three-way check of classical Lagrange inversion for one variable.
-
-    The coefficient of the composed observable in the inverse variable is
-    computed (a) through the colored tree solution, (b) as the order-n
-    monomial coefficient of f(z) rho'(z) / (rho(z)/z)**(n+1), and (c) as
-    1/n times the order-(n-1) coefficient of f'(z) / (rho(z)/z)**n, where
-    rho(z) = z exp(-A(z)). All three must agree exactly for n = 1..order:
-    each n gives one case per formula, (b) then (c), expected (a).
-
-    ``kernel_coeffs`` and ``outer_coeffs`` use the exponential convention
-    (entry m is m! times the monomial coefficient); ``outer_coeffs`` starts
-    at the constant term.
-    """
-    if order < 1:
-        raise ValueError("the check order must be at least one")
-    kernel_coeffs = [Fraction(v) for v in kernel_coeffs]
-    outer_coeffs = [Fraction(v) for v in outer_coeffs]
-    # kernel sizes above the check order cannot influence checked coefficients
-    kernel_padded = (
-        kernel_coeffs + [Fraction(0)] * max(0, order - len(kernel_coeffs))
-    )[:order]
-    kernels = univariate_kernels(kernel_padded)
-    colors = kernels.colors
-    x = UNIVARIATE_COLOR
-
-    phi = make_series(
-        colors,
-        order,
-        [((x,) * m, outer_coeffs[m]) for m in range(min(len(outer_coeffs), order + 1))],
-    )
-    solution = solve_tree_fixed_point(kernels)
-    composed = compose_family(phi, solution.tree_factors)
-
-    # independent monomial-side data
-    a_mono = [Fraction(0)] * (order + 2)
-    for m, value in enumerate(kernel_padded, start=1):
-        if m <= order + 1:
-            a_mono[m] = value / factorial(m)
-    f_mono = [Fraction(0)] * (order + 1)
-    for m, value in enumerate(outer_coeffs):
-        if m <= order:
-            f_mono[m] = value / factorial(m)
-    base = _u_exp([-v for v in a_mono], order + 1)  # rho(z)/z
-    rho = [Fraction(0)] + base[: order + 1]
-    rho_prime = _u_deriv(rho)
-    f_prime = _u_deriv(f_mono)
-
-    def cases():
-        for n in range(1, order + 1):
-            via_trees = composed.coefficient((x,) * n) / factorial(n)
-            with_derivative = _u_mul(
-                _u_mul(f_mono, rho_prime, n), _u_recip(_u_pow(base, n + 1, n), n), n
-            )[n]
-            yield (str(n),), via_trees, with_derivative, {"formula": "with-derivative"}
-            without_derivative = (
-                _u_mul(f_prime, _u_recip(_u_pow(base, n, n - 1), n - 1), n - 1)[n - 1]
-                / n
-            )
-            yield (str(n),), via_trees, without_derivative, {"formula": "without-derivative"}
-
-    return first_mismatch("univariate-inversion", cases())

@@ -149,7 +149,7 @@ CORRUPTIONS = [
      ["FAIL lagrange-good [trial=0] at (a): expected 0, got 1"]),
     ("magic", lagrange_forest.harness, "magic_sum", _plus_one,
      ["FAIL magic [trial=0] at (a): expected 0, got 1"]),
-    ("round-trip", lagrange_forest.inversion, "forward_density",
+    ("round-trip", lagrange_forest.harness, "forward_density",
      lambda original: lambda kernels: FamilySeries.constant(kernels.colors, kernels.order, 2),
      ["FAIL round-trip [trial=0, side=forward-after-inverse] at (a): expected 1, got 2"]),
     ("species-oracles", lagrange_forest.combinat, "exp_coefficient_via_maps", _plus_one,
@@ -165,7 +165,7 @@ CORRUPTIONS = [
     ("determinant-reduction", lagrange_forest.harness, "finite_matrix_determinant",
      lambda original: lambda *args: _Shifted(original(*args)),
      ["FAIL determinant-reduction [trial=0, subset=('b',)] at (b): expected 0, got 1"]),
-    ("univariate", lagrange_forest.inversion, "compose_family",
+    ("univariate", lagrange_forest.harness, "compose_family",
      lambda original: lambda *args: scale(original(*args), 2),
      ["FAIL univariate-inversion [trial=0, formula=with-derivative] at (1):"
       " expected 2, got 1"]),

@@ -7,6 +7,7 @@ class that nothing in it calls.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 from types import ModuleType
 
@@ -50,6 +51,19 @@ def test_series_and_inversion_import_nothing_from_combinat():
     for module in ("series", "inversion"):
         for targets, _ in imports(PACKAGE / f"{module}.py"):
             assert "lagrange_forest.combinat" not in targets, module
+
+
+def test_inversion_imports_only_series_and_errors_from_the_package():
+    # the identity checks and their reports live in harness, so the two
+    # routes build on the series layer alone
+    modules = {
+        target.split(".")[1]
+        for targets, _ in imports(PACKAGE / "inversion.py")
+        for target in targets
+        if target.startswith("lagrange_forest.")
+    }
+    assert modules == {"series", "errors"}
+    assert importlib.util.find_spec("lagrange_forest.reports") is None
 
 
 def test_combinat_imports_series_only_for_type_checking():

@@ -20,16 +20,19 @@ from lagrange_forest import (
     tree_coefficient,
 )
 from lagrange_forest.combinat import det_coefficient_via_crowns
-from lagrange_forest.harness import random_kernel_family, random_series
+from lagrange_forest.harness import (
+    random_kernel_family,
+    random_series,
+    round_trip_check,
+    univariate_kernels,
+    univariate_lagrange_check,
+)
 from lagrange_forest.inversion import (
     _box_exponential,
     finite_matrix_determinant,
     forward_density,
     lagrange_good_coefficient,
     magic_sum,
-    round_trip_check,
-    univariate_kernels,
-    univariate_lagrange_check,
 )
 from lagrange_forest.series import (
     FamilySeries,
