@@ -31,8 +31,10 @@ from .inversion import inverse_via_determinant, solve_tree_fixed_point
 from .series import ColorSet, all_keys, make_kernel_family
 
 # ASCII digits only: Fraction would also take decimals, exponents, spaces,
-# underscores and non-ASCII digits, and "1e100000000" takes unbounded time
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+# underscores and non-ASCII digits, and "1e100000000" takes unbounded time;
+# int() is quadratic in the digits, so p and q take at most Python's default limit
+_DIGITS = 4300
+_RATIONAL = re.compile(rf"[+-]?[0-9]{{1,{_DIGITS}}}(/[0-9]{{1,{_DIGITS}}})?")
 
 
 class DocumentParseError(Exception):
@@ -83,10 +85,12 @@ def _parse_rational(raw: object, text: str, path: str) -> Fraction:
         try:
             return Fraction(raw)
         except (ValueError, ZeroDivisionError):
-            pass  # more digits than int() accepts, or a zero denominator
+            pass  # a zero denominator, or more digits than int() accepts here
     line = _find_line(text, raw)
     anchor = f"{path}:{line}" if line is not None else path
-    raise DocumentParseError(f"{anchor}: invalid rational value {raw!r}")
+    raise DocumentParseError(
+        f"{anchor}: invalid rational value {raw!r} (p and q of at most {_DIGITS} digits)"
+    )
 
 
 def load_problem_document(path: str) -> ProblemDocument:
@@ -216,17 +220,26 @@ def cmd_invert(
 
     rows = []
     all_equal = True
-    for key in all_keys(colors, order):
-        if not key:
-            continue
-        tree_value = inverse_table.coefficient(key)
-        row = {"n": len(key), "x": list(key), "tree": str(tree_value)}
-        if with_determinant:
-            det_value = inverse_via_determinant(kernels, subset, key)
-            row["det"] = str(det_value)
-            row["equal"] = det_value == tree_value
-            all_equal = all_equal and row["equal"]
-        rows.append(row)
+    # a result may pass the int -> str digit limit (0 if none): lifted while the
+    # rows are built, then restored, as main also runs in-process
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        for key in all_keys(colors, order):
+            if not key:
+                continue
+            tree_value = inverse_table.coefficient(key)
+            row = {"n": len(key), "x": list(key), "tree": str(tree_value)}
+            if with_determinant:
+                det_value = inverse_via_determinant(kernels, subset, key)
+                row["det"] = str(det_value)
+                row["equal"] = det_value == tree_value
+                all_equal = all_equal and row["equal"]
+            rows.append(row)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
     payload = {
         "colors": list(doc.colors),

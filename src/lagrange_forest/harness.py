@@ -389,16 +389,9 @@ def univariate_lagrange_check(
     composed = compose_family(phi, solution.tree_factors)
 
     # independent monomial-side data
-    a_mono = [Fraction(0)] * (order + 2)
-    for m, value in enumerate(kernel_padded, start=1):
-        if m <= order + 1:
-            a_mono[m] = value / factorial(m)
-    f_mono = [Fraction(0)] * (order + 1)
-    for m, value in enumerate(outer_coeffs):
-        if m <= order:
-            f_mono[m] = value / factorial(m)
-    base = _u_exp([-v for v in a_mono], order + 1)  # rho(z)/z
-    rho = [Fraction(0)] + base[: order + 1]
+    a_mono = [Fraction(0)] + [v / factorial(m) for m, v in enumerate(kernel_padded, start=1)]
+    f_mono = [v / factorial(m) for m, v in enumerate(outer_coeffs[: order + 1])]
+    rho = [Fraction(0)] + _u_exp([-v for v in a_mono], order)  # z exp(-A)
     rho_prime = _u_deriv(rho)
     f_prime = _u_deriv(f_mono)
 

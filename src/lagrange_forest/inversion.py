@@ -84,7 +84,7 @@ def solve_tree_fixed_point(kernels: FamilySeries) -> TreeSolution:
     colors, order = kernels.colors, kernels.order
     current = FamilySeries.constant(colors, order, 1)
     for step in range(1, order + 1):
-        monomials = _Monomials(current, step)  # shared by every color
+        monomials = _Monomials(current, step, kernels.members.values())
         members = {}
         for q in colors.names:
             exponent = TruncatedSeries(

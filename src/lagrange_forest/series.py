@@ -445,16 +445,20 @@ def radon_lift(family: FamilySeries) -> FamilySeries:
 class _Monomials(dict):
     """Products prod_q W_q^(J_q) / J_q! by key J, for W the radon lift of a family.
 
-    Each entry is an integer vector over the points of size <= ``max_size``
-    of the family-order simplex on the atoms' colors, graded by D^|s| (D the
-    lcm of the atoms' denominators, :func:`_graded`). It is built on first
-    lookup, as its prefix's vector times the atom at its last color q,
-    divided by J_q, which is exact. A table can be shared by every
-    composition with the same family and truncation.
+    W is lifted only at the colors that the keys of the ``outer`` series read,
+    the only atoms their compositions look up. Each entry is an integer vector
+    over the points of size <= ``max_size`` of the family-order simplex on the
+    atoms' colors, graded by D^|s| (D the lcm of the atoms' denominators,
+    :func:`_graded`). It is built on first lookup, as its prefix's vector times
+    the atom at its last color q, divided by J_q, which is exact. A table serves
+    every composition of the outer series with this family and truncation.
     """
 
-    def __init__(self, family: FamilySeries, max_size: int) -> None:
-        atoms = radon_lift(family).members
+    def __init__(
+        self, family: FamilySeries, max_size: int, outer: Iterable[TruncatedSeries]
+    ) -> None:
+        reads = sorted({c for g in outer for key in g.table for c in key})
+        atoms = {q: _atom(q, family.members[q].table, family.colors, family.order) for q in reads}
         keys, (points, *_, self.forward), self.den, vectors = _graded(
             [atom.table for atom in atoms.values()], family.order
         )
@@ -507,7 +511,7 @@ def compose_family(g: TruncatedSeries, family: FamilySeries) -> TruncatedSeries:
     each monomial costs one product along the prefixes of its key.
     """
     _check_pair(g, family)
-    table = _compose_table(g, _Monomials(family, g.order))
+    table = _compose_table(g, _Monomials(family, g.order, (g,)))
     return TruncatedSeries(g.colors, g.order, table)
 
 
@@ -521,7 +525,7 @@ def compose_measure(density: FamilySeries, family: FamilySeries) -> FamilySeries
     """
     _check_pair(density, family)
     colors, order = density.colors, density.order
-    monomials = _Monomials(family, order)  # shared by every color
+    monomials = _Monomials(family, order, density.members.values())
     members = {
         q: multiply(
             TruncatedSeries(colors, order, _compose_table(density.members[q], monomials)),

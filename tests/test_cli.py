@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -87,6 +88,50 @@ def test_invert_single_entry_kernel_at_order_twelve(tmp_path, c):
     assert sorted(values) == list(range(1, 13))
     for n, value in values.items():
         assert Fraction(value) == c ** (n - 1) * n ** (n - 1), n
+
+
+def test_invert_prints_rationals_past_the_int_digit_limit(tmp_path, capsys):
+    # kernel c*z with a 2,500-digit c: the order-3 coefficient 9 c^2 has about
+    # 5,000 digits, past Python's default int -> str limit of 4,300, which the
+    # output lifts for its conversions only
+    c = 10**2499 + 7
+    doc = cayley_doc(order=3)
+    doc["kernels"][0]["entries"][0]["value"] = str(c)
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    assert main(["invert", write_doc(tmp_path, doc), "--det"]) == 0
+    assert getattr(sys, "get_int_max_str_digits", int)() == limit
+    rows = json.loads(capsys.readouterr().out)["coefficients"]
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        expected = [str(c ** (n - 1) * n ** (n - 1)) for n in (1, 2, 3)]
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    assert [row["tree"] for row in rows] == expected
+    assert [row["det"] for row in rows] == expected
+
+
+@pytest.mark.parametrize(
+    "value, code",
+    [
+        ("1" * 4300 + "/3", 0),
+        ("-" + "1" * 4300 + "/" + "3" * 4300, 0),
+        ("1" * 4301 + "/3", 2),
+        ("1/" + "3" * 4301, 2),
+        ("1" * 5000 + "/3", 2),
+    ],
+    ids=["p-4300", "p-and-q-4300", "p-4301", "q-4301", "p-5000"],
+)
+def test_invert_reads_p_and_q_of_at_most_4300_digits(tmp_path, capsys, value, code):
+    # the grammar's limit: int() is quadratic in the digits
+    doc = cayley_doc(order=1)
+    doc["kernels"][0]["entries"][0]["value"] = value
+    assert main(["invert", write_doc(tmp_path, doc)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert "invalid rational value" in err
+        assert err.rstrip().endswith("(p and q of at most 4300 digits)")
 
 
 def test_invert_respects_subset(tmp_path):

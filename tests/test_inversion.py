@@ -49,6 +49,7 @@ from lagrange_forest.series import (
 
 from helpers import (
     QUERY_POOL,
+    closed_form_inverse,
     exponential_oracle,
     folded_product_coefficient,
     fredholm_oracle,
@@ -151,6 +152,48 @@ def test_tree_solution_satisfies_fixed_point_equation():
     for q in AB:
         exponent = compose_family(kernels.members[q], factors)
         assert exponential(exponent) == factors.members[q]
+
+
+def test_tree_solve_lays_out_only_the_colors_its_kernels_read(monkeypatch):
+    # nine colors, and keys that read a and b only: each T_q is a series in
+    # z_a and z_b, so the solve lifts the atoms at a and b alone and lays out
+    # the two-color simplex, not one over the nine colors
+    nine = ColorSet(tuple("abcdefghi"))
+    entries = [("a", ("b",), "1/2"), ("b", ("a", "b"), "-1"), ("e", ("a",), "2"),
+               ("i", ("a", "a", "b"), "1/3")]
+    kernels = make_kernel_family(nine, 6, entries)
+    sizes = []
+    simplex = lagrange_forest.series._simplex
+    monkeypatch.setattr(
+        lagrange_forest.series, "_simplex", lambda d, n: sizes.append(d) or simplex(d, n)
+    )
+    inverse = solve_tree_fixed_point(kernels).inverse
+    assert sizes and max(sizes) == 2
+    monkeypatch.undo()
+    for key in [("a",), ("a", "b"), ("a", "e"), ("a", "b", "i"), ("a", "a", "b", "e", "i")]:
+        for subset in ("a", "e", "ai"):
+            want = inverse.evaluate(subset).coefficient(key)
+            assert inverse_via_determinant(kernels, subset, key) == want, (subset, key)
+
+
+def test_sparse_size_one_family_over_six_colors_matches_the_closed_form():
+    # kernels of size one over six colors, of which a, b and c are read and
+    # d, e and f are only pinned: both routes against code sharing nothing
+    # with the package
+    colors = ColorSet(tuple("abcdef"))
+    a = {q: {c: Fraction(0) for c in colors} for q in colors}
+    for q, c, value in [("a", "b", "2/3"), ("b", "a", "-1/2"), ("b", "c", "1"),
+                        ("c", "c", "-1/3"), ("d", "a", "3/2"), ("f", "b", "1")]:
+        a[q][c] = Fraction(value)
+    entries = [(q, (c,), v) for q, row in a.items() for c, v in row.items() if v]
+    kernels = make_kernel_family(colors, 4, entries)
+    subset = tuple("abcde")
+    inverse = solve_tree_fixed_point(kernels).inverse.evaluate(subset)
+    for key in all_keys(colors, 4):
+        if key:
+            want = closed_form_inverse(a, subset, key)
+            assert inverse.coefficient(key) == want, key
+            assert inverse_via_determinant(kernels, subset, key) == want, key
 
 
 # ---------------------------------------------------------------------------

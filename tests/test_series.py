@@ -723,7 +723,7 @@ def test_truncated_composition_is_the_composition_at_that_order():
         fam_cut = FamilySeries(
             colors, size, {q: truncate(m, size) for q, m in fam.members.items()}
         )
-        table = _compose_table(g, _Monomials(fam, size))
+        table = _compose_table(g, _Monomials(fam, size, (g,)))
         assert table == compose_family(g_cut, fam_cut).table, size
         for key in all_keys(colors, size):
             assert table.get(key, 0) == compose_oracle(g_cut, fam_cut, key), key
