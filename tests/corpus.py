@@ -24,47 +24,38 @@ import io
 import json
 import random
 import sys
-from itertools import combinations_with_replacement
+import tempfile
+from math import comb
 from pathlib import Path
+
+if __name__ == "__main__":  # as a script: the package in this checkout's src/
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from helpers import _golden_doc, dense_golden_doc  # noqa: E402
+
+from lagrange_forest.cli import main  # noqa: E402
 
 EXPECTED = Path(__file__).with_name("corpus")
 POOL = ("1", "-1", "1/2", "-1/2")
 SEEDS = (1, 2)
 
 
-def _document(colors: str, order: int, entries) -> dict:
-    groups: dict[int, list] = {}
-    for q, xs, value in entries:
-        groups.setdefault(len(xs), []).append({"q": q, "x": list(xs), "value": value})
-    return {
-        "colors": list(colors),
-        "order": order,
-        "kernels": [{"n": n, "entries": groups[n]} for n in sorted(groups)],
-    }
-
-
 def _dense(d: int, order: int):
     def build(rng: random.Random) -> dict:
-        colors = "abc"[:d]
-        entries = [
-            (q, key, rng.choice(POOL))
-            for q in colors
-            for n in range(1, order + 1)
-            for key in combinations_with_replacement(colors, n)
-        ]
-        return _document(colors, order, entries)
+        keys = d * (comb(order + d, d) - 1)  # every key of size 1..order, per pinned color
+        return dense_golden_doc("abc"[:d], order, [rng.choice(POOL) for _ in range(keys)])
 
     return build
 
 
 def _one_color(rng: random.Random) -> dict:
-    return _document("x", 9, [("x", ("x",), rng.choice(POOL))])
+    return _golden_doc("x", 9, [("x", ("x",))], [rng.choice(POOL)])
 
 
 def _sparse(rng: random.Random) -> dict:
     # a pinned at (b), b pinned at (a, b)
-    entries = [("a", ("b",), rng.choice(POOL)), ("b", ("a", "b"), rng.choice(POOL))]
-    return _document("ab", 8, entries)
+    keys = [("a", ("b",)), ("b", ("a", "b"))]
+    return _golden_doc("ab", 8, keys, [rng.choice(POOL) for _ in keys])
 
 
 SHAPES = {
@@ -94,8 +85,6 @@ def cases() -> list[tuple[str, list[str], dict | None]]:
 
 def run(argv: list[str], document: dict | None, work: Path) -> tuple[int, str]:
     """Exit code and stdout of the command, a document written under ``work`` first."""
-    from lagrange_forest.cli import main
-
     if document is not None:
         path = work / "document.json"
         path.write_text(json.dumps(document), encoding="utf-8")
@@ -107,8 +96,6 @@ def run(argv: list[str], document: dict | None, work: Path) -> tuple[int, str]:
 
 
 def _write_expected() -> None:
-    import tempfile
-
     EXPECTED.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as work:
         for name, argv, document in cases():
@@ -120,5 +107,4 @@ def _write_expected() -> None:
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
     _write_expected()
